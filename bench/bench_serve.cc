@@ -9,22 +9,15 @@
 //     loader at n >= 4000 — the number that justifies the zero-copy
 //     backend as the serving default for big arenas.
 //   * Sweep throughput: whole-graph harmonic centrality through the
-//     backend surface — in-memory arena vs mmap vs resident-limited
-//     sharded serving with and without the background prefetch thread
-//     (prefetch hides shard load I/O behind the sweep's compute).
+//     backend surface — in-memory arena vs mmap vs a mapped shard
+//     directory.
 //   * Point lookups: AdsNodeIndex binary search vs the linear AdsView scan.
 //   * CLAIM-SWEEP-FUSION: K statistics as one fused SweepPlan vs K
-//     standalone whole-graph queries over a resident-limited sharded
-//     backend. Sequential cost grows ~linearly in K (K shard sweeps, K
-//     HIP scans per node); the fused plan pays one sweep plus only the
-//     per-collector reduction — the recorded baseline justifies routing
-//     every multi-statistic caller (CLI stats, examples) through one plan.
-//   * CLAIM-SOA-LAYOUT: the per-node HIP estimator sweep over the flat
-//     AoS arena vs the same sweep over the split SoaAdsArena
-//     (dist[]/rank[]/... per-field streams). The recorded baseline shows
-//     SoA does NOT beat AoS here (the scan is dominated by the HipEntry
-//     output allocation, not input bandwidth), which is why the SoA
-//     layout stays an experiment rather than the serving default.
+//     standalone whole-graph queries over a sharded backend. Sequential
+//     cost grows ~linearly in K (K shard sweeps, K HIP scans per node);
+//     the fused plan pays one sweep plus only the per-collector reduction
+//     — the recorded baseline justifies routing every multi-statistic
+//     caller (CLI stats, examples) through one plan.
 
 #include <benchmark/benchmark.h>
 
@@ -133,47 +126,30 @@ void BM_SweepMmapBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepMmapBackend)->Unit(benchmark::kMillisecond);
 
-// Resident-limited sharded serving: the sweep re-loads each shard arena
-// every iteration (max_resident bounds memory at ~2 shard arenas).
-// Arg: bit 0 = prefetch, bit 1 = mmap shard opens.
-void BM_SweepSharded(benchmark::State& state) {
-  std::string dir = TempPath("bench_serve_shards");
-  static bool written = false;
-  if (!written) {
-    WriteShardedAdsSet(SharedSet(4000), dir, 8);
-    written = true;
-  }
-  ShardedOptions options;
-  options.max_resident = 1;  // clamped to 2 with prefetch
-  options.prefetch = (state.range(0) & 1) != 0;
-  options.use_mmap = (state.range(0) & 2) != 0;
-  auto opened = ShardedAdsSet::Open(dir, options);
-  for (auto _ : state) {
-    auto scores = EstimateHarmonicCentralityAll(opened.value(), 1);
-    benchmark::DoNotOptimize(scores.value().data());
-  }
-  state.SetLabel(std::string(options.use_mmap ? "mmap" : "copy") +
-                 (options.prefetch ? "+prefetch" : ""));
-}
-BENCHMARK(BM_SweepSharded)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Unit(
-    benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // CLAIM-SWEEP-FUSION: K statistics, fused vs sequential, over a sharded
-// backend with bounded residency (the serving shape the engine targets).
+// backend (the serving shape the engine targets).
 // ---------------------------------------------------------------------------
 
 const ShardedAdsSet& SharedShardedSet() {
   static ShardedAdsSet* set = [] {
     std::string dir = TempPath("bench_serve_fusion_shards");
     WriteShardedAdsSet(SharedSet(4000), dir, 8);
-    ShardedOptions options;
-    options.max_resident = 1;
-    auto opened = ShardedAdsSet::Open(dir, options);
+    auto opened = ShardedAdsSet::Open(dir);
     return new ShardedAdsSet(std::move(opened).value());
   }();
   return *set;
 }
+
+// Sweep throughput over the 8-shard mapped directory.
+void BM_SweepSharded(benchmark::State& state) {
+  const ShardedAdsSet& set = SharedShardedSet();
+  for (auto _ : state) {
+    auto scores = EstimateHarmonicCentralityAll(set, 1);
+    benchmark::DoNotOptimize(scores.value().data());
+  }
+}
+BENCHMARK(BM_SweepSharded)->Unit(benchmark::kMillisecond);
 
 // The first `count` of a fixed six-statistic battery. The histogram
 // collector is deliberately second so K=1 measures the cheapest
@@ -238,39 +214,6 @@ void BM_MultiStatSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiStatSequential)->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Unit(
     benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// CLAIM-SOA-LAYOUT: the estimator sweep over AoS vs SoA entry layouts —
-// the same per-node HipEstimator construction + harmonic fold, reading
-// AdsEntry structs vs split per-field streams.
-// ---------------------------------------------------------------------------
-
-void BM_SweepHipAos(benchmark::State& state) {
-  const FlatAdsSet& set = SharedSet(4000);
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (NodeId v = 0; v < set.num_nodes(); ++v) {
-      HipEstimator est(set.of(v), set.k, set.flavor, set.ranks);
-      sum += est.HarmonicCentrality();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_SweepHipAos)->Unit(benchmark::kMillisecond);
-
-void BM_SweepHipSoa(benchmark::State& state) {
-  static const SoaAdsArena& soa =
-      *new SoaAdsArena(SoaAdsArena::FromFlat(SharedSet(4000)));
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (NodeId v = 0; v < soa.num_nodes(); ++v) {
-      HipEstimator est(soa.of(v), soa.k, soa.flavor, soa.ranks);
-      sum += est.HarmonicCentrality();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_SweepHipSoa)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // CLAIM-HIP-RESIDENT: the per-node HIP estimator cost, per entry, for the
@@ -348,9 +291,7 @@ const ShardedAdsSet& SharedShardedHipSet() {
   static ShardedAdsSet* set = [] {
     std::string dir = TempPath("bench_serve_fusion_hip_shards");
     WriteShardedAdsSet(SharedHipSet(4000), dir, 8);
-    ShardedOptions options;
-    options.max_resident = 1;
-    auto opened = ShardedAdsSet::Open(dir, options);
+    auto opened = ShardedAdsSet::Open(dir);
     return new ShardedAdsSet(std::move(opened).value());
   }();
   return *set;

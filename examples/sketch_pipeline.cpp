@@ -9,8 +9,8 @@
 // the service builds a SweepPlan with every collector it needs, so the
 // backend is swept once however many statistics are served. The same
 // serving code runs against every storage engine; here it is exercised
-// over a zero-copy mmap open and over a sharded, residency-bounded open
-// with background prefetch, and both agree bitwise.
+// over a zero-copy mmap open of one file and over a mapped shard
+// directory, and both agree bitwise.
 //
 // Run:  ./sketch_pipeline
 
@@ -114,15 +114,13 @@ int main() {
   }
   if (Serve("mmap, zero-copy", *mapped.value()) != 0) return 1;
 
-  AdsBackendOptions sharded_options;  // copy mode, prefetch on by default
-  sharded_options.max_resident = 2;
-  auto sharded = OpenAdsBackend(shard_dir, sharded_options);
+  auto sharded = OpenAdsBackend(shard_dir);  // every shard mapped at open
   if (!sharded.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
                  sharded.status().ToString().c_str());
     return 1;
   }
-  if (Serve("sharded, prefetching", *sharded.value()) != 0) return 1;
+  if (Serve("sharded, mapped", *sharded.value()) != 0) return 1;
 
   std::remove(path);
   std::filesystem::remove_all(shard_dir);

@@ -155,9 +155,8 @@ StatusOr<MmapAdsSet> MmapAdsSet::Open(const std::string& path,
 #if defined(POSIX_MADV_WILLNEED)
   // Open validates the whole file immediately (checksum scan) and the
   // estimator sweeps then read the arena front to back, so ask the kernel
-  // to read the mapping ahead instead of faulting page by page — this is
-  // what makes a prefetch-thread mmap "load" actually pull the bytes in,
-  // not just reserve address space. Advisory only: failure is harmless.
+  // to read the mapping ahead instead of faulting page by page. Advisory
+  // only: failure is harmless.
   (void)::posix_madvise(map, len, POSIX_MADV_WILLNEED);
 #endif
   const char* data = static_cast<const char*>(map);
@@ -243,20 +242,10 @@ StatusOr<HipView> MmapAdsSet::HipOf(NodeId v) const {
 StatusOr<std::unique_ptr<AdsBackend>> OpenAdsBackend(
     const std::string& path, const AdsBackendOptions& options) {
   if (IsShardedAdsPath(path)) {
-    ShardedOptions sharded;
-    sharded.beta = options.beta;
-    sharded.max_resident = options.max_resident;
-    sharded.prefetch = options.prefetch;
-    sharded.prefetch_depth = options.prefetch_depth;
-    sharded.use_mmap = options.mode == BackendMode::kMmap;
-    auto opened = ShardedAdsSet::Open(path, sharded);
+    auto opened = ShardedAdsSet::Open(path, options.beta);
     if (!opened.ok()) return opened.status();
-    auto set = std::make_unique<ShardedAdsSet>(std::move(opened).value());
-    if (options.validate_files) {
-      Status valid = set->ValidateFiles();
-      if (!valid.ok()) return valid;
-    }
-    return std::unique_ptr<AdsBackend>(std::move(set));
+    return std::unique_ptr<AdsBackend>(
+        std::make_unique<ShardedAdsSet>(std::move(opened).value()));
   }
   if (options.mode == BackendMode::kMmap) {
     auto opened = MmapAdsSet::Open(path, options.beta);

@@ -10,18 +10,20 @@
 //     with zero allocation and zero copying of the payload. Falls back to
 //     the copying loader for v1 text files, non-canonical entry order, or
 //     platforms without mmap.
-//   * ShardedAdsSet  — a directory of v2 shard files (ads/shard.h), loaded
-//     lazily with bounded residency and, optionally, a background prefetch
-//     thread that loads (or maps) shard s+1 while a sweep consumes shard s.
+//   * ShardedAdsSet  — a directory of v2 shard files (ads/shard.h), every
+//     shard mapped like an MmapAdsSet when the set is opened.
 //
 // AdsBackend is the one query surface all of them implement and the only
 // interface the whole-graph queries (ads/queries.h) and the CLI serve paths
 // consume. Whole-graph sweeps iterate ordered, contiguous node ranges
-// (AdsArenaView); point queries resolve a single node's AdsView; Prefetch
-// is the residency hint that lets a range-sweeping caller overlap the next
-// range's I/O with the current range's compute. Every backend hands the
-// estimator kernels the same canonical entry spans in the same node order,
-// so query results are bitwise identical across backends.
+// (AdsArenaView); point queries resolve a single node's AdsView. Every
+// backend hands the estimator kernels the same canonical entry spans in the
+// same node order, so query results are bitwise identical across backends.
+//
+// Sketches never change once built, and every engine validates its whole
+// store when it is opened: after that, reads are immutable lookups, safe
+// from any number of threads, and views stay valid for the backend's
+// lifetime.
 
 #ifndef HIPADS_ADS_BACKEND_H_
 #define HIPADS_ADS_BACKEND_H_
@@ -39,8 +41,8 @@ namespace hipads {
 /// Pointers to one node's precomputed HIP weights: tau[i]/weight[i] belong
 /// to entry i of the node's AdsView (hip.h's aligned layout, including the
 /// k-mins zero-slot convention). present() is false when the backing store
-/// carries no HIP section — callers then fall back to the scan. Pointer
-/// validity follows the producing backend's residency rules.
+/// carries no HIP section — callers then fall back to the scan. Pointers
+/// stay valid for the producing backend's lifetime.
 struct HipView {
   const double* tau = nullptr;
   const double* weight = nullptr;
@@ -51,7 +53,7 @@ struct HipView {
 /// Non-owning CSR view of one contiguous node range's sketches: local node
 /// i (global node begin + i) owns entries [offsets[i], offsets[i+1]) of the
 /// entries array, in canonical (dist, node, part) order. offsets[0] == 0.
-/// Pointer validity follows the producing backend's residency rules.
+/// Pointers stay valid for the producing backend's lifetime.
 struct AdsArenaView {
   NodeId begin = 0;
   NodeId end = 0;  // exclusive
@@ -79,11 +81,10 @@ struct AdsArenaView {
   }
 };
 
-/// Abstract read surface over the ADSs of a whole graph. Implementations
-/// may load lazily, so accessors that can touch storage return StatusOr.
-/// Unless a subclass documents otherwise, concurrent calls must be
-/// externally serialized (the whole-graph sweeps walk ranges sequentially
-/// and parallelize inside each).
+/// Abstract read surface over the ADSs of a whole graph. Accessors return
+/// StatusOr so out-of-range arguments (and decorators that add failure
+/// paths) are reported, not asserted. Every accessor is const and safe to
+/// call concurrently from any number of threads.
 class AdsBackend {
  public:
   virtual ~AdsBackend();
@@ -98,21 +99,16 @@ class AdsBackend {
   /// (1 for the single-arena backends, the shard count for sharded sets).
   virtual uint32_t NumRanges() const = 0;
 
-  /// Arena view of range r (r < NumRanges()). For lazily loading backends
-  /// this is the call that performs I/O; it fails if the backing file is
-  /// missing, truncated or corrupt. The returned pointers stay valid until
-  /// the backend's residency bound evicts the range (single-arena backends
-  /// never evict).
+  /// Arena view of range r (r < NumRanges()).
   virtual StatusOr<AdsArenaView> Range(uint32_t r) const = 0;
 
-  /// View of ADS(v), loading whatever range owns v on demand.
+  /// View of ADS(v), from whatever range owns v.
   virtual StatusOr<AdsView> ViewOf(NodeId v) const = 0;
 
   /// Precomputed HIP weights of node v, aligned with ViewOf(v)'s entries.
   /// Absent (present() == false) when the backing store carries no HIP
   /// section — the caller scans instead; both paths are bitwise identical.
-  /// The default is the conservative "absent". Same residency/validity
-  /// rules as ViewOf.
+  /// The default is the conservative "absent".
   virtual StatusOr<HipView> HipOf(NodeId /*v*/) const { return HipView{}; }
 
   /// True when EVERY node of the backend serves precomputed HIP weights
@@ -120,18 +116,16 @@ class AdsBackend {
   /// (`stats`/`serve` report hip=resident|scan); never affects results.
   virtual bool HipResident() const { return false; }
 
-  /// Residency hint: a sweep consuming ranges in order will need range r
-  /// next. Backends may start loading it in the background; the default is
-  /// a no-op. Never required for correctness.
+  /// Residency hint: a caller consuming ranges in order will need range r
+  /// next. Every engine here holds all of its ranges from open on, so the
+  /// default is a no-op; never required for correctness.
   virtual void Prefetch(uint32_t r) const;
 
-  /// True when every read accessor (Range/ViewOf/Prefetch and the
-  /// parameter getters) is safe to call from any number of threads with no
-  /// external serialization, because the backend never mutates state after
-  /// construction and returned views stay valid for the backend's lifetime.
-  /// The single-arena engines (flat, mmap) qualify; lazily loading engines
-  /// with residency eviction do not. The default is the conservative false.
-  virtual bool ImmutableReads() const { return false; }
+  /// Every backend's reads are immutable: no accessor mutates state, so
+  /// all of them are safe to call from any number of threads with no
+  /// external serialization, and returned views stay valid for the
+  /// backend's lifetime.
+  virtual bool ImmutableReads() const { return true; }
 };
 
 /// In-memory backend over a FlatAdsSet arena: one range, no failure paths.
@@ -158,7 +152,6 @@ class FlatAdsBackend : public AdsBackend {
   StatusOr<AdsView> ViewOf(NodeId v) const override;
   StatusOr<HipView> HipOf(NodeId v) const override;
   bool HipResident() const override { return set().has_hip(); }
-  bool ImmutableReads() const override { return true; }
 
  private:
   FlatAdsSet owned_;
@@ -172,7 +165,9 @@ class FlatAdsBackend : public AdsBackend {
 /// not in canonical order, or no mmap on the platform — Open degrades
 /// gracefully to the copying loader and owns a FlatAdsSet instead
 /// (zero_copy() reports which path was taken). Corrupt v2 input always
-/// fails; it is never silently re-parsed.
+/// fails; it is never silently re-parsed. A mapped file must be replaced,
+/// never truncated, while it is served: the library's writers publish by
+/// rename (WriteFileAtomically), so a live mapping keeps the old bytes.
 class MmapAdsSet : public AdsBackend {
  public:
   MmapAdsSet();
@@ -203,7 +198,6 @@ class MmapAdsSet : public AdsBackend {
   StatusOr<AdsView> ViewOf(NodeId v) const override;
   StatusOr<HipView> HipOf(NodeId v) const override;
   bool HipResident() const override { return hip_tau_ != nullptr; }
-  bool ImmutableReads() const override { return true; }
 
  private:
   static StatusOr<MmapAdsSet> OpenFallback(
@@ -230,7 +224,8 @@ class MmapAdsSet : public AdsBackend {
   FlatAdsSet fallback_;  // storage when !zero_copy()
 };
 
-/// How OpenAdsBackend materializes single-file sets and shard arenas.
+/// How OpenAdsBackend materializes single-file sets (shard directories are
+/// always mapped).
 enum class BackendMode {
   kCopy,  // copying loader: heap arena, works everywhere
   kMmap,  // zero-copy mmap of v2 files (with the documented fallbacks)
@@ -241,24 +236,13 @@ struct AdsBackendOptions {
   BackendMode mode = BackendMode::kCopy;
   /// Required for exponential/priority rank kinds, as in ParseAdsSet.
   std::function<double(uint64_t)> beta = nullptr;
-  /// Sharded sets: max shard arenas resident at once (see ShardedAdsSet).
-  uint32_t max_resident = 1;
-  /// Sharded sets: overlap the next shards' loads with the current
-  /// shard's compute using a background prefetch thread.
-  bool prefetch = true;
-  /// Sharded sets: prefetch lookahead — how many upcoming shards a sweep's
-  /// residency hint enqueues (ShardedOptions::prefetch_depth).
-  uint32_t prefetch_depth = 1;
-  /// Sharded sets: verify up front that every manifest-referenced shard
-  /// file exists with exactly the byte size the manifest implies, so a
-  /// missing or truncated shard fails at open instead of mid-sweep.
-  bool validate_files = true;
 };
 
 /// Opens `path` — a v1/v2 ADS file or a shard directory/manifest — behind
 /// the one AdsBackend query surface, dispatching on the path contents:
-/// sharded sets get a ShardedAdsSet (honoring mode/max_resident/prefetch),
-/// plain files a MmapAdsSet (kMmap) or a loaded FlatAdsBackend (kCopy).
+/// sharded sets get a ShardedAdsSet (every shard mapped; a missing or
+/// damaged shard fails the open), plain files a MmapAdsSet (kMmap) or a
+/// loaded FlatAdsBackend (kCopy).
 StatusOr<std::unique_ptr<AdsBackend>> OpenAdsBackend(
     const std::string& path, const AdsBackendOptions& options = {});
 

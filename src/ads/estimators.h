@@ -62,12 +62,6 @@ class HipEstimator {
                const RankAssignment& ranks)
       : HipEstimator(ads.view(), k, flavor, ranks) {}
 
-  /// Structure-of-arrays layout (a SoaAdsArena slice): the same HIP scan
-  /// over split per-field streams; every estimate is bitwise identical to
-  /// the AdsView overload on the same sketch.
-  HipEstimator(const SoaAdsView& ads, uint32_t k, SketchFlavor flavor,
-               const RankAssignment& ranks);
-
   /// Scratch-scan mode: the identical scan, written into `scratch` instead
   /// of a fresh allocation. The estimator (and its copies) borrows
   /// scratch->entries — valid until the scratch is scanned again or

@@ -65,53 +65,6 @@ struct FlatAdsSet {
   AdsSet ToAdsSet() const;
 };
 
-/// Non-owning structure-of-arrays view of one node's ADS: component i of
-/// each array describes the i-th entry in canonical (dist, node, part)
-/// order — the same logical sequence an AdsView spans, split into one
-/// stream per field.
-struct SoaAdsView {
-  const NodeId* node = nullptr;
-  const uint32_t* part = nullptr;
-  const double* rank = nullptr;
-  const double* dist = nullptr;
-  size_t size = 0;
-};
-
-/// Structure-of-arrays mirror of a FlatAdsSet arena: the same sketches,
-/// CSR-indexed, with each AdsEntry field in its own contiguous array. The
-/// HIP scan reads only (rank, dist) of every entry — 16 of AdsEntry's 24
-/// bytes — so splitting the fields was the ROADMAP's candidate layout for
-/// the estimator sweeps. Measured on the bench_serve sweep benchmarks it
-/// does NOT beat the AoS arena (see BENCH_serve.json and README "Query
-/// engine"), and conversion costs a full copy that the zero-copy mmap
-/// path cannot pay — so this layout is an experiment the benchmarks keep
-/// honest, not a serving default. The HIP kernels accept either layout
-/// and produce bitwise-identical weights (sweep_test).
-struct SoaAdsArena {
-  SketchFlavor flavor = SketchFlavor::kBottomK;
-  uint32_t k = 0;
-  RankAssignment ranks = RankAssignment::Uniform(0);
-  std::vector<uint64_t> offsets{0};  // size num_nodes + 1
-  std::vector<NodeId> node;
-  std::vector<uint32_t> part;
-  std::vector<double> rank;
-  std::vector<double> dist;
-
-  size_t num_nodes() const { return offsets.size() - 1; }
-  uint64_t TotalEntries() const { return dist.size(); }
-
-  /// SoA view of ADS(v).
-  SoaAdsView of(NodeId v) const {
-    uint64_t begin = offsets[v];
-    return SoaAdsView{node.data() + begin, part.data() + begin,
-                      rank.data() + begin, dist.data() + begin,
-                      static_cast<size_t>(offsets[v + 1] - begin)};
-  }
-
-  /// Splits a flat AoS arena into per-field arrays (full copy).
-  static SoaAdsArena FromFlat(const FlatAdsSet& set);
-};
-
 }  // namespace hipads
 
 #endif  // HIPADS_ADS_FLAT_ADS_H_

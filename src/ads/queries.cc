@@ -6,8 +6,8 @@ namespace {
 
 // Every whole-graph query below is a thin single-collector SweepPlan over
 // the fused sweep executor (ads/sweep.h) — the executor owns the one
-// sweep implementation in the codebase (blocking, threading, range order,
-// prefetch hints), and these helpers collapse the former
+// sweep implementation in the codebase (blocking, threading, range
+// order), and these helpers collapse the former
 // AdsSet/FlatAdsSet/AdsBackend overload triplication into one body each.
 // Callers wanting several statistics from one pass should build their own
 // SweepPlan instead of calling several of these.

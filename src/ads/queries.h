@@ -7,7 +7,7 @@
 // sweep-execution engine (ads/sweep.h), which owns the one sweep
 // implementation in the codebase. Each query accepts any storage layout —
 // the per-node-vector AdsSet, the flat CSR arena FlatAdsSet, or any
-// AdsBackend (in-memory arena, zero-copy mmap, sharded with prefetch).
+// AdsBackend (in-memory arena, zero-copy mmap, sharded).
 // `num_threads` = 0 uses the hardware count, 1 runs inline; results are
 // bit-identical for every storage engine and every thread count (the
 // executor's determinism contract, documented in ads/sweep.h).
@@ -17,8 +17,8 @@
 // SweepPlan with K collectors and RunSweep it instead: same results,
 // bitwise, for one shard sweep and one HIP scan per node.
 //
-// The AdsBackend overloads return StatusOr because a lazy range load can
-// fail (missing, truncated or corrupt shard file).
+// The AdsBackend overloads return StatusOr because the backend surface
+// reports errors (a decorator may add failure paths) instead of asserting.
 
 #ifndef HIPADS_ADS_QUERIES_H_
 #define HIPADS_ADS_QUERIES_H_

@@ -1,15 +1,21 @@
 #include "ads/serialize.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <type_traits>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "util/hash.h"
 
@@ -534,24 +540,63 @@ StatusOr<FlatAdsSet> ParseFlatAdsSetAny(const std::string& data,
                                : ParseFlatAdsSet(data, std::move(beta));
 }
 
+Status WriteFileAtomically(const std::string& path, std::string_view bytes) {
+  // Same directory as the target, so the rename never crosses filesystems;
+  // pid + counter keep concurrent writers of one path off each other's
+  // temp files.
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp = path + ".tmp-" + std::to_string(::getpid()) +
+                           "-" + std::to_string(next_temp.fetch_add(1));
+  int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status::IOError("cannot open " + temp + " for writing: " +
+                           std::strerror(errno));
+  }
+  // Builds the error from errno before the cleanup can clobber it, then
+  // closes the temp file (when still open) and removes it.
+  auto fail = [&temp](const char* what, int open_fd) {
+    Status s = Status::IOError(std::string(what) + " failed for " + temp +
+                               ": " + std::strerror(errno));
+    if (open_fd >= 0) ::close(open_fd);
+    ::unlink(temp.c_str());
+    return s;
+  };
+  for (size_t done = 0; done < bytes.size();) {
+    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return fail("write", fd);
+    done += static_cast<size_t>(n);
+  }
+  if (::fsync(fd) != 0) return fail("fsync", fd);
+  // close can report a deferred write error (NFS, quota): check it.
+  if (::close(fd) != 0) return fail("close", -1);
+  if (::rename(temp.c_str(), path.c_str()) != 0) return fail("rename", -1);
+  // The rename is only durable once the directory entry is.
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0 || ::fsync(dir_fd) != 0) {
+    Status s = Status::IOError("fsync failed for directory " + dir + ": " +
+                               std::strerror(errno));
+    if (dir_fd >= 0) ::close(dir_fd);
+    return s;
+  }
+  ::close(dir_fd);
+  return Status::Ok();
+}
+
 Status WriteAdsSetFile(const AdsSet& set, const std::string& path,
                        AdsFileFormat format) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open " + path + " for writing");
-  f << (format == AdsFileFormat::kBinaryV2 ? SerializeAdsSetBinary(set)
-                                           : SerializeAdsSet(set));
-  if (!f.good()) return Status::IOError("write failed for " + path);
-  return Status::Ok();
+  return WriteFileAtomically(path, format == AdsFileFormat::kBinaryV2
+                                       ? SerializeAdsSetBinary(set)
+                                       : SerializeAdsSet(set));
 }
 
 Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
                        AdsFileFormat format) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open " + path + " for writing");
-  f << (format == AdsFileFormat::kBinaryV2 ? SerializeAdsSetBinary(set)
-                                           : SerializeAdsSet(set));
-  if (!f.good()) return Status::IOError("write failed for " + path);
-  return Status::Ok();
+  return WriteFileAtomically(path, format == AdsFileFormat::kBinaryV2
+                                       ? SerializeAdsSetBinary(set)
+                                       : SerializeAdsSet(set));
 }
 
 StatusOr<AdsSet> ParseAdsSet(const std::string& text,

@@ -27,6 +27,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "ads/ads.h"
 #include "ads/flat_ads.h"
@@ -49,11 +50,21 @@ std::string SerializeAdsSetBinary(const AdsSet& set);
 std::string SerializeAdsSetBinary(const FlatAdsSet& set);
 
 /// Writes `set` to `path` in the requested format (v1 text by default,
-/// matching the historical behavior of this API).
+/// matching the historical behavior of this API), atomically: see
+/// WriteFileAtomically.
 Status WriteAdsSetFile(const AdsSet& set, const std::string& path,
                        AdsFileFormat format = AdsFileFormat::kTextV1);
 Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
                        AdsFileFormat format = AdsFileFormat::kTextV1);
+
+/// Publishes `bytes` as the file `path`: writes a temp file in the same
+/// directory, fsyncs it, renames it over `path` and fsyncs the directory.
+/// Readers see either the old file or the complete new one, never a
+/// partial write — and an old file that a server still has mapped is
+/// replaced, not truncated, so the mapping keeps its bytes (truncating a
+/// mapped file would kill the reader with SIGBUS). On failure the temp
+/// file is removed and `path` is left as it was.
+Status WriteFileAtomically(const std::string& path, std::string_view bytes);
 
 /// True iff `data` begins with the hipads-ads-v2 binary magic.
 bool IsBinaryAdsData(const std::string& data);

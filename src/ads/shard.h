@@ -1,29 +1,21 @@
 // Sharded ADS storage: a FlatAdsSet split into contiguous node ranges,
 // one self-contained v2 binary file per shard plus a small text manifest.
 //
-// A billion-node sketch arena does not fit one serving process. Sharding by
-// contiguous node range keeps every whole-graph sweep a sequence of linear
-// passes: queries load one shard arena at a time (lazily, with a bounded
-// number resident) and visit nodes in exactly the same order as the
-// unsharded sweep, so every estimate — including the floating-point
-// accumulation order of the distance-distribution histograms — is bitwise
-// identical to the single-arena result. Point queries route ViewOf(v) to
-// the owning shard via the manifest's range table.
+// A billion-node sketch arena does not fit one file or one serving
+// process. Sharding by contiguous node range keeps every whole-graph sweep
+// a sequence of linear passes: a sweep visits the shards in order, and
+// nodes in exactly the same order as the unsharded sweep, so every
+// estimate — including the floating-point accumulation order of the
+// distance-distribution histograms — is bitwise identical to the
+// single-arena result. Point queries route ViewOf(v) to the owning shard
+// via the manifest's range table.
 //
 // ShardedAdsSet implements AdsBackend (ads/backend.h), so it serves the
 // same whole-graph queries as the in-memory and mmap single-arena engines.
-// Two serving upgrades are opt-in through ShardedOptions:
-//
-//   * prefetch — a background thread loads the next prefetch_depth shards
-//     while the sweep consumes shard s (driven by the AdsBackend::Prefetch
-//     residency hints the query sweeps emit), hiding shard I/O behind
-//     compute; lookahead > 1 keeps the pipeline full on storage whose
-//     latency exceeds one shard's compute time (spinning or networked
-//     disks). The worker only ever writes its own staging slots; the
-//     consuming thread alone touches the residency cache, so results stay
-//     deterministic and bitwise identical to non-prefetching serving.
-//   * use_mmap — shard arenas are opened with MmapAdsSet instead of the
-//     copying loader: residency then costs address space, not heap copies.
+// The sketches never change after they are built, so Open maps every shard
+// once (MmapAdsSet: validated in place, zero-copy) and the set is
+// immutable from then on: residency is the kernel page cache's job, reads
+// are plain lookups, and any number of threads may read concurrently.
 //
 // On disk a sharded set is a directory:
 //
@@ -38,7 +30,6 @@
 #define HIPADS_ADS_SHARD_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,8 +65,10 @@ std::vector<NodeId> BalancedShardSplits(const FlatAdsSet& set,
 
 /// Writes `set` into `dir` (created if needed) as one v2 binary file per
 /// shard plus the manifest; `split_begins` as from BalancedShardSplits
-/// (sorted, unique, first element 0). The manifest is written last, so a
-/// directory with a manifest is complete.
+/// (sorted, unique, first element 0). Every file is published atomically
+/// (WriteFileAtomically), and the manifest is written last, so a directory
+/// with a manifest is complete and a live mapping of an older shard file
+/// keeps serving the old bytes.
 Status WriteShardedAdsSet(const FlatAdsSet& set, const std::string& dir,
                           const std::vector<NodeId>& split_begins);
 
@@ -83,58 +76,24 @@ Status WriteShardedAdsSet(const FlatAdsSet& set, const std::string& dir,
 Status WriteShardedAdsSet(const FlatAdsSet& set, const std::string& dir,
                           uint32_t num_shards);
 
-/// Serving options for ShardedAdsSet::Open.
-struct ShardedOptions {
-  /// Required for exponential/priority rank kinds, as in ParseAdsSet.
-  std::function<double(uint64_t)> beta = nullptr;
-  /// Max shard arenas resident at once (LRU eviction past the bound).
-  uint32_t max_resident = 1;
-  /// Load hinted shards on a background thread. Staged arenas are
-  /// heap-held until the sweep reaches them, so prefetching transiently
-  /// keeps up to prefetch_depth arenas beyond max_resident in memory.
-  bool prefetch = false;
-  /// Lookahead of the prefetch pipeline: a Prefetch(r) hint enqueues
-  /// shards [r, r + prefetch_depth) that are not yet resident. 1 (the
-  /// default) reproduces single-shard lookahead; deeper pipelines help
-  /// when shard load latency exceeds one shard's compute. Clamped to
-  /// >= 1; ignored unless prefetch is set.
-  uint32_t prefetch_depth = 1;
-  /// Open shard arenas zero-copy with MmapAdsSet instead of the copying
-  /// loader.
-  bool use_mmap = false;
-};
-
-/// A sharded ADS set opened for serving. Shard arenas load lazily on first
-/// access; at most max_resident stay live (least-recently-used eviction).
-/// The range a caller is consuming is its most recently touched one, so
-/// LRU never evicts it while max_resident >= 2; with max_resident = 1,
-/// touching a second range invalidates the first range's views.
-///
-/// The consumer side is not thread-safe: concurrent Range()/ViewOf() calls
-/// must be externally serialized (the whole-graph sweeps in ads/queries.h
-/// do this naturally — they walk shards sequentially and parallelize
-/// inside each). The prefetch worker runs concurrently but communicates
-/// only through its own locked staging slot. Views and arena pointers stay
-/// valid until the owning shard is evicted, i.e. until max_resident other
-/// shards have been touched.
+/// A sharded ADS set opened for serving: every shard file mapped and
+/// validated at Open, then never mutated. All accessors are const over
+/// non-mutable members, so concurrent reads need no synchronization, and
+/// views stay valid for the set's lifetime.
 class ShardedAdsSet : public AdsBackend {
  public:
   /// An empty set (no shards, no nodes); the state StatusOr needs to
   /// default-construct. Use Open to get a usable one.
-  ShardedAdsSet();
-  ShardedAdsSet(ShardedAdsSet&&) noexcept;
-  ShardedAdsSet& operator=(ShardedAdsSet&&) noexcept;
-  ~ShardedAdsSet() override;
+  ShardedAdsSet() = default;
 
-  /// Opens `path`, which may be the manifest file or its directory.
-  static StatusOr<ShardedAdsSet> Open(const std::string& path,
-                                      const ShardedOptions& options);
-
-  /// Back-compat overload: copying loader, no prefetch.
+  /// Opens `path`, which may be the manifest file or its directory, and
+  /// maps every shard it lists. A missing shard file fails with IOError; a
+  /// truncated or corrupt one, or one that does not match its manifest
+  /// entry, with Corruption — the message names the shard file. `beta` is
+  /// required for exponential/priority rank kinds, as in ParseAdsSet.
   static StatusOr<ShardedAdsSet> Open(
       const std::string& path,
-      std::function<double(uint64_t)> beta = nullptr,
-      uint32_t max_resident = 1);
+      const std::function<double(uint64_t)>& beta = nullptr);
 
   SketchFlavor flavor() const override { return flavor_; }
   uint32_t k() const override { return k_; }
@@ -148,72 +107,26 @@ class ShardedAdsSet : public AdsBackend {
   /// Index of the shard owning node v (v must be < num_nodes()).
   uint32_t ShardOf(NodeId v) const;
 
-  /// Cheap up-front integrity check of every shard file the manifest
-  /// references: exists and is exactly the v2 byte size its node/entry
-  /// counts imply. Catches missing and truncated shard files before a
-  /// sweep starts, without loading any arena. (Content damage inside a
-  /// right-sized file is still caught by the checksum at load time.)
-  Status ValidateFiles() const;
-
-  // AdsBackend surface: one range per shard, loaded lazily on Range();
-  // Prefetch(r) hands the hint to the background worker when enabled.
+  // AdsBackend surface: one range per shard.
   uint32_t NumRanges() const override {
     return static_cast<uint32_t>(shards_.size());
   }
   StatusOr<AdsArenaView> Range(uint32_t r) const override;
   StatusOr<AdsView> ViewOf(NodeId v) const override;
   StatusOr<HipView> HipOf(NodeId v) const override;
-  /// True iff EVERY shard file carries the HIP section (size-probed once,
-  /// lazily, without loading arenas). A mixed set reports false but still
-  /// serves precomputed weights from the shards that have them — each
-  /// range's arena view carries its own hip pointers.
+  /// True iff EVERY shard file carries the HIP section. A mixed set
+  /// reports false but still serves precomputed weights from the shards
+  /// that have them — each range's arena view carries its own hip pointers.
   bool HipResident() const override;
-  void Prefetch(uint32_t r) const override;
-  // Lazy loading + LRU eviction mutate residency state on reads, so the
-  // sharded engine keeps the base-class contract: external serialization.
-  bool ImmutableReads() const override { return false; }
-
-  /// Number of shard arenas currently in memory (for tests/metrics).
-  uint32_t NumResident() const;
-
-  /// Number of shard-file loads performed so far (consumer + prefetch
-  /// thread combined; for tests/metrics). A whole-graph sweep — however
-  /// many statistics its SweepPlan fuses — costs exactly num_shards()
-  /// loads from cold.
-  uint64_t NumShardLoads() const;
 
  private:
-  struct LoadContext;
-  class Prefetcher;
-
-  // Returns shard s's arena, consuming a staged prefetch result or loading
-  // synchronously, installing into the residency cache with LRU eviction.
-  StatusOr<const AdsBackend*> Resident(uint32_t s) const;
-  void EvictFor(uint32_t installing) const;
-
-  std::string dir_;
   SketchFlavor flavor_ = SketchFlavor::kBottomK;
   uint32_t k_ = 0;
   RankAssignment ranks_ = RankAssignment::Uniform(0);
   uint64_t num_nodes_ = 0;
   std::vector<ShardInfo> shards_;
-  uint32_t max_resident_ = 1;
-  uint32_t prefetch_depth_ = 1;
-
-  // Everything a shard load needs, shared with the prefetch worker so the
-  // set object itself stays movable while the worker runs.
-  std::shared_ptr<const LoadContext> load_ctx_;
-
-  // Lazy-load cache: resident_[s] is null until shard s is first touched;
-  // last_used_ drives LRU eviction once more than max_resident_ are live.
-  // Touched only by the (externally serialized) consumer thread.
-  mutable std::vector<std::unique_ptr<AdsBackend>> resident_;
-  mutable std::vector<uint64_t> last_used_;
-  mutable uint64_t tick_ = 0;
-  mutable std::unique_ptr<Prefetcher> prefetcher_;
-  // Lazily computed HipResident() answer (-1 = unknown). Consumer-side
-  // state like the residency cache: externally serialized.
-  mutable int8_t hip_resident_ = -1;
+  // arenas_[s] serves shards_[s]; filled by Open, never touched again.
+  std::vector<MmapAdsSet> arenas_;
 };
 
 }  // namespace hipads

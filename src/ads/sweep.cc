@@ -420,7 +420,6 @@ Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,
     }
     auto range = set.Range(r);
     if (!range.ok()) return range.status();
-    if (r + 1 < set.NumRanges()) set.Prefetch(r + 1);
     ArenaSet arena{range.value(), set.flavor(), set.k(), set.ranks()};
     SweepArena(arena, range.value().begin, plan, pool, buffers);
   }

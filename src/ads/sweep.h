@@ -13,9 +13,9 @@
 //   Collector  — a per-node visitor with a node-order-deterministic
 //                reduction (SweepCollector below).
 //   Executor   — RunSweep: ONE pass over any storage (AdsSet, FlatAdsSet,
-//                or any AdsBackend — in-memory, mmap, sharded with
-//                prefetch), constructing each node's HipEstimator ONCE and
-//                feeding every collector from it.
+//                or any AdsBackend — in-memory, mmap, sharded),
+//                constructing each node's HipEstimator ONCE and feeding
+//                every collector from it.
 //
 // So K statistics cost one shard sweep and one HIP scan per node instead
 // of K of each. The whole-graph query functions in ads/queries.h are thin
@@ -32,9 +32,6 @@
 //     node order, block by block, whatever the thread count;
 //   * backends are swept one contiguous node range at a time in node
 //     order, so the per-node visit order matches the single-arena sweep.
-// Between ranges the executor emits Prefetch residency hints, letting a
-// prefetching sharded backend overlap the next shard's I/O (lookahead
-// configurable, see ShardedOptions::prefetch_depth) with compute.
 
 #ifndef HIPADS_ADS_SWEEP_H_
 #define HIPADS_ADS_SWEEP_H_
@@ -310,10 +307,9 @@ class SweepPlan {
 /// `num_threads` = 0 uses the hardware count, 1 runs inline; results are
 /// bitwise identical for every thread count. The single-arena overloads
 /// cannot fail; the AdsBackend overload sweeps the backend's ranges in
-/// node order (one shard file read per shard, whatever plan.size() is),
-/// emits Prefetch hints between ranges, and fails if a lazy range load
-/// fails — collectors are then left partially filled and must be
-/// discarded. `checkpoint`, when set, is polled before each range; a
+/// node order (one pass over each shard, whatever plan.size() is) and
+/// fails if the backend reports an error for a range — collectors are then
+/// left partially filled and must be discarded. `checkpoint`, when set, is polled before each range; a
 /// non-ok return aborts the sweep with that status (the serving layer
 /// uses it to shed sweeps whose deadline has already passed instead of
 /// finishing work nobody is waiting for).

@@ -64,7 +64,6 @@ struct ServeMetrics {
   MetricCounter* bytes_out;
   MetricCounter* undecodable;
   MetricCounter* shed_deadline;
-  MetricCounter* shed_busy;
   MetricCounter* hip_resident;
   MetricCounter* hip_scan;
   MetricHistogram* batch_entries;
@@ -87,7 +86,6 @@ ServeMetrics& Metrics() {
     mm->bytes_out = reg.Counter("serve.bytes_out");
     mm->undecodable = reg.Counter("serve.undecodable_frames");
     mm->shed_deadline = reg.Counter("serve.shed.deadline");
-    mm->shed_busy = reg.Counter("serve.shed.busy");
     mm->hip_resident = reg.Counter("serve.point.hip_resident");
     mm->hip_scan = reg.Counter("serve.point.hip_scan");
     mm->batch_entries = reg.Histogram("serve.batch.entries");
@@ -141,7 +139,6 @@ AdsServerCore::AdsServerCore(const AdsBackend* backend,
                              const ServerOptions& options)
     : backend_(backend),
       options_(options),
-      lock_free_(backend->ImmutableReads()),
       point_cache_(options.point_cache_entries, "serve.cache.point"),
       sweep_cache_(options.sweep_cache_entries, "serve.cache.sweep") {}
 
@@ -271,24 +268,12 @@ StatusOr<Frame> AdsServerCore::HandleStats(const StatsRequestMsg& msg) const {
 StatusOr<Frame> AdsServerCore::HandlePoint(const PointRequestMsg& msg,
                                            const std::string& payload) {
   // The request payload is a canonical encoding of the question, so it is
-  // the cache key; a hit bypasses backend and locks entirely.
+  // the cache key; a hit bypasses the backend entirely.
   std::string cached;
   if (options_.point_cache_entries > 0 && point_cache_.Get(payload, &cached)) {
     return Frame{MessageType::kPointResponse, std::move(cached)};
   }
-  StatusOr<std::string> result = [&]() -> StatusOr<std::string> {
-    if (lock_free_) return ComputePoint(msg);
-    if (active_sweeps_.value() > 0) {
-      // A sweep owns the serialized backend for what may be minutes.
-      // Queueing a microsecond lookup behind it inverts every latency
-      // goal — shed instead and let the caller's retry budget absorb it.
-      Metrics().shed_busy->Add();
-      return Status::Unavailable(
-          "backend busy with a sweep; point lookup shed, retry");
-    }
-    MutexLock lock(mu_);
-    return ComputePoint(msg);
-  }();
+  StatusOr<std::string> result = ComputePoint(msg);
   if (!result.ok()) return result.status();
   if (options_.point_cache_entries > 0) {
     point_cache_.Put(payload, result.value());
@@ -379,18 +364,13 @@ StatusOr<std::string> AdsServerCore::ComputePointWithView(
             " is outside the served range (route through a fleet router "
             "for cross-server pairs)");
       }
-      // Fetching the second view may evict the shard backing the first
-      // (bounded residency), so pin a copy of the first sketch.
-      std::vector<AdsEntry> pinned(view.entries().begin(),
-                                   view.entries().end());
-      AdsView u_view{std::span<const AdsEntry>(pinned)};
       auto other_view =
           backend_->ViewOf(static_cast<NodeId>(msg.other - begin));
       if (!other_view.ok()) return other_view.status();
       double sup = backend_->ranks().sup();
-      double jaccard = JaccardSimilarity(u_view, other_view.value(), msg.d,
+      double jaccard = JaccardSimilarity(view, other_view.value(), msg.d,
                                          backend_->k(), sup);
-      double uni = UnionCardinality(u_view, other_view.value(), msg.d,
+      double uni = UnionCardinality(view, other_view.value(), msg.d,
                                     backend_->k(), sup);
       response.values = {jaccard, uni};
       break;
@@ -419,7 +399,6 @@ bool SamePointRequest(const PointRequestMsg& a, const PointRequestMsg& b) {
 
 void AdsServerCore::ComputeBatchEntries(const PointBatchRequestMsg& msg,
                                         const std::vector<size_t>& order,
-                                        bool share_scans,
                                         PointBatchResponseMsg* response) const {
   uint64_t current_node = 0;
   bool have_node = false;
@@ -436,8 +415,7 @@ void AdsServerCore::ComputeBatchEntries(const PointBatchRequestMsg& msg,
   for (size_t idx : order) {
     const PointRequestMsg& entry = msg.entries[idx];
     PointBatchResponseEntry& out = response->entries[idx];
-    if (share_scans && have_prev &&
-        SamePointRequest(entry, msg.entries[prev_idx])) {
+    if (have_prev && SamePointRequest(entry, msg.entries[prev_idx])) {
       out = response->entries[prev_idx];
       continue;
     }
@@ -448,7 +426,7 @@ void AdsServerCore::ComputeBatchEntries(const PointBatchRequestMsg& msg,
       out.status = local.status();
       continue;
     }
-    if (!share_scans || !have_node || entry.node != current_node) {
+    if (!have_node || entry.node != current_node) {
       est.reset();
       view.reset();
       hip = HipView{};
@@ -502,30 +480,15 @@ StatusOr<Frame> AdsServerCore::HandlePointBatch(
     misses.push_back(i);
   }
   if (!misses.empty()) {
-    if (lock_free_) {
-      // One pass in node order: consecutive same-node entries share one
-      // backend fetch and one estimator materialization. stable_sort keeps
-      // equal-node entries in request order; results land by original
-      // index either way, so the reorder is invisible on the wire.
-      std::stable_sort(misses.begin(), misses.end(),
-                       [&msg](size_t a, size_t b) {
-                         return msg.entries[a].node < msg.entries[b].node;
-                       });
-      ComputeBatchEntries(msg, misses, /*share_scans=*/true, &response);
-    } else if (active_sweeps_.value() > 0) {
-      // Same shedding contract as single lookups, applied per entry.
-      Metrics().shed_busy->Add(misses.size());
-      for (size_t i : misses) {
-        response.entries[i].status = Status::Unavailable(
-            "backend busy with a sweep; point lookup shed, retry");
-      }
-    } else {
-      // Serialized engine: ONE lock acquisition for the whole batch, but
-      // per-entry fetches — a shared view could be evicted by a kJaccard
-      // entry's second fetch under bounded shard residency.
-      MutexLock lock(mu_);
-      ComputeBatchEntries(msg, misses, /*share_scans=*/false, &response);
-    }
+    // One pass in node order: consecutive same-node entries share one
+    // backend fetch and one estimator materialization. stable_sort keeps
+    // equal-node entries in request order; results land by original index
+    // either way, so the reorder is invisible on the wire.
+    std::stable_sort(misses.begin(), misses.end(),
+                     [&msg](size_t a, size_t b) {
+                       return msg.entries[a].node < msg.entries[b].node;
+                     });
+    ComputeBatchEntries(msg, misses, &response);
     if (use_cache) {
       for (size_t i : misses) {
         if (response.entries[i].status.ok()) {
@@ -568,17 +531,9 @@ StatusOr<Frame> AdsServerCore::HandleSweep(const SweepRequestMsg& msg,
                  : Status::Ok();
     };
   }
-  Status swept;
-  if (lock_free_) {
-    swept = RunSweep(*backend_, plan, threads, checkpoint);
-  } else {
-    active_sweeps_.Add(1);
-    {
-      MutexLock lock(mu_);
-      swept = RunSweep(*backend_, plan, threads, checkpoint);
-    }
-    active_sweeps_.Add(-1);
-  }
+  active_sweeps_.Add(1);
+  Status swept = RunSweep(*backend_, plan, threads, checkpoint);
+  active_sweeps_.Add(-1);
   if (!swept.ok()) return swept;
 
   SweepResponseMsg response;

@@ -1,7 +1,7 @@
 // The serving processes of the distributed subsystem.
 //
 // A range server owns an AdsBackend — any engine: in-memory arena, zero-
-// copy mmap, sharded-with-prefetch — holding the sketches of one
+// copy mmap, mapped shard directory — holding the sketches of one
 // contiguous global node range, and answers the wire protocol
 // (serve/protocol.h) over it:
 //
@@ -13,16 +13,12 @@
 //   TcpServer      a thread-pooled TCP front end: N worker threads accept
 //                  connections and pump frames through a FrameHandler.
 //
-// Concurrency: when the backend reports ImmutableReads() — flat arenas and
-// mmap sets — the core runs LOCK-FREE: any number of point lookups and
-// whole-range sweeps execute concurrently with no serialization at all
-// (results are bitwise deterministic either way, so overlap is invisible).
-// Serialized engines (ShardedAdsSet's lazy residency) keep a mutex, and
-// point lookups arriving while a sweep holds the backend are SHED with
-// Unavailable instead of queueing behind minutes of compute — the caller's
-// retry policy (serve/router.h) turns that into bounded extra latency.
-// Both modes sit behind small LRU response caches, so repeated cheap
-// lookups never touch the backend at all.
+// Concurrency: every backend's reads are immutable (ads/backend.h), so the
+// core runs LOCK-FREE: any number of point lookups and whole-range sweeps
+// execute concurrently with no serialization at all (results are bitwise
+// deterministic either way, so overlap is invisible), and a point lookup
+// never waits behind a sweep. Small LRU response caches sit in front, so
+// repeated cheap lookups never touch the backend at all.
 //
 // The node-id split: a range server launched with node_begin B serves
 // global nodes [B, B + backend.num_nodes()). Shard files written by
@@ -80,8 +76,7 @@ class FrameHandler {
 /// Every answer a serving backend can give is immutable (sketches never
 /// change once loaded), so cached responses never go stale; the cache
 /// exists so a repeated cheap lookup is served without touching the
-/// backend — including while a whole-graph sweep holds a serialized
-/// backend busy. Capacity 0 disables it.
+/// backend. Capacity 0 disables it.
 class ResponseCache {
  public:
   /// `metric_prefix` names this cache in the metrics registry: hits and
@@ -134,9 +129,8 @@ struct ServerOptions {
 };
 
 /// The request dispatcher of a range server. Borrows the backend, which
-/// must outlive the core. Immutable-read backends are served lock-free;
-/// serialized backends are guarded by an internal mutex with point-
-/// lookup shedding (see the file comment). Requests carrying an expired
+/// must outlive the core, and serves it lock-free (see the file comment).
+/// Requests carrying an expired
 /// deadline are shed with DeadlineExceeded before touching the backend,
 /// and an in-flight sweep aborts between node ranges once its request's
 /// deadline passes — a fleet under deadline pressure sheds load instead
@@ -169,7 +163,7 @@ class AdsServerCore : public FrameHandler {
   /// out-of-range answer — single and batched paths must fail with
   /// identical bytes).
   StatusOr<NodeId> LocalIdOf(uint64_t node) const;
-  /// The actual point computation (lock, if any, held by the caller).
+  /// The actual point computation.
   StatusOr<std::string> ComputePoint(const PointRequestMsg& msg) const;
   /// Point computation against an already-fetched view. `hip` carries the
   /// node's storage-resident HIP weights when the backend has them
@@ -181,29 +175,19 @@ class AdsServerCore : public FrameHandler {
   StatusOr<std::string> ComputePointWithView(
       const PointRequestMsg& msg, const AdsView& view, const HipView& hip,
       std::optional<HipEstimator>* est) const;
-  /// Computes the `order`-listed entries of a batch (lock, if any, held by
-  /// the caller). With share_scans set, `order` must be sorted by node:
-  /// consecutive same-node entries then share one backend fetch and one
-  /// estimator materialization, and consecutive *identical* entries reuse
-  /// the previous result outright (responses are deterministic, so the
-  /// copy is bitwise-equal to a recompute) — only safe on immutable-read
-  /// backends, where a view survives fetching another node's.
+  /// Computes the `order`-listed entries of a batch. `order` must be
+  /// sorted by node: consecutive same-node entries then share one backend
+  /// fetch and one estimator materialization, and consecutive *identical*
+  /// entries reuse the previous result outright (responses are
+  /// deterministic, so the copy is bitwise-equal to a recompute).
   void ComputeBatchEntries(const PointBatchRequestMsg& msg,
-                           const std::vector<size_t>& order, bool share_scans,
+                           const std::vector<size_t>& order,
                            PointBatchResponseMsg* response) const;
   Deadline::Clock::time_point Now() const;
 
   const AdsBackend* backend_;
   ServerOptions options_;
-  const bool lock_free_;  // backend_->ImmutableReads()
-  // Serializes backend access on serialized engines. It guards the
-  // *pointee* of backend_ — and only when !lock_free_, a runtime property
-  // — so the guarded relation is enforced by the Dispatch call structure
-  // (and the tsan lane), not by a GUARDED_BY the analysis could check.
-  mutable Mutex mu_;
-  // Admission signal for shedding; a registry gauge ("serve.active_sweeps")
-  // so a scrape sees in-flight sweeps. NEVER gated on MetricsEnabled —
-  // shedding decisions read it, so it is control flow, not telemetry.
+  // Sweeps running right now; a registry gauge so a scrape sees them.
   RegisteredGauge active_sweeps_{"serve.active_sweeps"};
   ResponseCache point_cache_;
   ResponseCache sweep_cache_;

@@ -210,8 +210,8 @@ class MetricsRegistry {
 };
 
 /// A counter owned by an object but visible to the registry under a
-/// shared name. Movable because some owners are (ShardedAdsSet); a
-/// move re-attaches the new address and empties the source.
+/// shared name. Movable so its owners can be; a move re-attaches the new
+/// address and empties the source.
 class RegisteredCounter {
  public:
   explicit RegisteredCounter(std::string name) : name_(std::move(name)) {

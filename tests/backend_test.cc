@@ -1,18 +1,20 @@
 // The unified AdsBackend storage layer: the serving contract is that the
 // in-memory arena (FlatAdsBackend), the zero-copy mmap open (MmapAdsSet)
-// and the sharded set (ShardedAdsSet, with and without the background
-// prefetch thread, copying and mmap shard opens) produce bitwise identical
+// and the mapped shard directory (ShardedAdsSet) produce bitwise identical
 // query and estimator results on the same sketch set — plus the failure
-// contract: missing/truncated/corrupt backing files surface as errors, not
-// partial results.
+// contract: missing/truncated/corrupt backing files fail the open, not a
+// later read, and rewriting a file that a server has mapped never
+// disturbs what it serves.
 
 #include "ads/backend.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "ads/builders.h"
 #include "ads/estimators.h"
@@ -21,6 +23,8 @@
 #include "ads/shard.h"
 #include "ads/similarity.h"
 #include "graph/generators.h"
+#include "serve/protocol.h"
+#include "serve/server.h"
 
 namespace hipads {
 namespace {
@@ -205,108 +209,171 @@ TEST(BackendTest, AllBackendsBitwiseEqualOnSameShardSet) {
   ASSERT_TRUE(mapped.ok());
   ExpectBitwiseEqualQueries(mapped.value(), set);
 
-  for (bool use_mmap : {false, true}) {
-    for (bool prefetch : {false, true}) {
-      ShardedOptions options;
-      options.max_resident = 1;
-      options.prefetch = prefetch;
-      options.use_mmap = use_mmap;
-      auto sharded = ShardedAdsSet::Open(shard_dir, options);
-      ASSERT_TRUE(sharded.ok())
-          << "mmap=" << use_mmap << " prefetch=" << prefetch << ": "
-          << sharded.status().ToString();
-      ExpectBitwiseEqualQueries(sharded.value(), set);
-      EXPECT_LE(sharded.value().NumResident(), 1u);  // strict bound
-    }
-  }
+  auto sharded = ShardedAdsSet::Open(shard_dir);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ExpectBitwiseEqualQueries(sharded.value(), set);
 }
 
-// tsan target: the prefetch worker overlaps loads with consumer-side
-// sweeps; repeated sweeps and point lookups must stay deterministic and
-// race-free, bitwise equal to the non-prefetching engines.
-TEST(BackendTest, PrefetchSweepsAreDeterministic) {
-  FlatAdsSet set = BuildFlat(220, 23, 8);
-  ScratchDir dir("hipads_backend_test_prefetch");
-  std::string shard_dir = dir.file("shards");
-  ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 6).ok());
-
-  std::vector<double> reference = EstimateHarmonicCentralityAll(set, 1);
-  for (bool use_mmap : {false, true}) {
-    ShardedOptions options;
-    options.max_resident = 2;
-    options.prefetch = true;
-    options.use_mmap = use_mmap;
-    auto opened = ShardedAdsSet::Open(shard_dir, options);
-    ASSERT_TRUE(opened.ok());
-    const ShardedAdsSet& sharded = opened.value();
-    for (int round = 0; round < 3; ++round) {
-      auto scores = EstimateHarmonicCentralityAll(sharded, 2);
-      ASSERT_TRUE(scores.ok());
-      EXPECT_EQ(scores.value(), reference) << "round " << round;
-      // Interleave point lookups that fault shards in out of sweep order.
-      for (NodeId v : {0u, 219u, 110u}) {
-        ASSERT_TRUE(sharded.ViewOf(v).ok());
-      }
-      EXPECT_LE(sharded.NumResident(), 2u);  // strict max_resident bound
-    }
-  }
-}
-
-TEST(BackendTest, ShardedValidateFilesCatchesMissingAndTruncated) {
+// Every shard is mapped and checked at open, so a damaged directory fails
+// there — IOError for a missing shard, Corruption for a truncated one,
+// both naming the file — and through the OpenAdsBackend factory too.
+TEST(BackendTest, ShardedOpenCatchesMissingAndTruncated) {
   FlatAdsSet set = BuildFlat(160, 29, 4);
   ScratchDir dir("hipads_backend_test_validate");
   std::string shard_dir = dir.file("shards");
   ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 4).ok());
   std::string victim =
       (std::filesystem::path(shard_dir) / "shard-00002.ads2").string();
+  ASSERT_TRUE(ShardedAdsSet::Open(shard_dir).ok());
 
-  {
-    auto opened = ShardedAdsSet::Open(shard_dir);
-    ASSERT_TRUE(opened.ok());
-    EXPECT_TRUE(opened.value().ValidateFiles().ok());
-  }
-
-  // Truncated shard: ValidateFiles names the file; sweeps fail Corruption
-  // under both copy and mmap opens.
   std::error_code ec;
   uint64_t size = std::filesystem::file_size(victim, ec);
   ASSERT_FALSE(ec);
   std::filesystem::resize_file(victim, size - 24, ec);
   ASSERT_FALSE(ec);
-  for (bool use_mmap : {false, true}) {
-    ShardedOptions options;
-    options.use_mmap = use_mmap;
-    auto opened = ShardedAdsSet::Open(shard_dir, options);
-    ASSERT_TRUE(opened.ok());
-    Status valid = opened.value().ValidateFiles();
-    EXPECT_FALSE(valid.ok());
-    EXPECT_EQ(valid.code(), Status::Code::kCorruption);
-    EXPECT_NE(valid.message().find("shard-00002.ads2"), std::string::npos);
-    auto swept = EstimateHarmonicCentralityAll(opened.value());
-    EXPECT_FALSE(swept.ok()) << "mmap=" << use_mmap;
-    EXPECT_EQ(swept.status().code(), Status::Code::kCorruption);
-  }
+  auto truncated = ShardedAdsSet::Open(shard_dir);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(truncated.status().message().find("shard-00002.ads2"),
+            std::string::npos);
+  auto refused = OpenAdsBackend(shard_dir);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), Status::Code::kCorruption);
 
-  // Missing shard: IOError from ValidateFiles and from the sweep.
   std::filesystem::remove(victim);
-  for (bool use_mmap : {false, true}) {
-    ShardedOptions options;
-    options.use_mmap = use_mmap;
-    auto opened = ShardedAdsSet::Open(shard_dir, options);
-    ASSERT_TRUE(opened.ok());
-    Status valid = opened.value().ValidateFiles();
-    EXPECT_FALSE(valid.ok());
-    EXPECT_EQ(valid.code(), Status::Code::kIOError);
-    auto swept = EstimateHarmonicCentralityAll(opened.value());
-    EXPECT_FALSE(swept.ok());
-    EXPECT_EQ(swept.status().code(), Status::Code::kIOError);
+  auto missing = ShardedAdsSet::Open(shard_dir);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), Status::Code::kIOError);
+  EXPECT_NE(missing.status().message().find("shard-00002.ads2"),
+            std::string::npos);
+  refused = OpenAdsBackend(shard_dir);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), Status::Code::kIOError);
+}
+
+// Request frames exercising every backend read path: a fused sweep
+// (Range), a point estimate (ViewOf + HipOf) per probe node, and a
+// similarity pair (two ViewOf calls).
+std::vector<std::string> ServingFrames(const std::vector<uint64_t>& nodes) {
+  std::vector<std::string> frames;
+  SweepRequestMsg sweep;
+  sweep.collectors = {{CollectorKind::kDistanceHistogram, 0, 0, 0.0},
+                      {CollectorKind::kHarmonic, 0, 0, 0.0}};
+  frames.push_back(
+      EncodeFrame(MessageType::kSweepRequest, EncodeSweepRequest(sweep)));
+  for (uint64_t node : nodes) {
+    PointRequestMsg point;
+    point.kind = PointKind::kNodeStats;
+    point.node = node;
+    frames.push_back(
+        EncodeFrame(MessageType::kPointRequest, EncodePointRequest(point)));
+  }
+  PointRequestMsg pair;
+  pair.kind = PointKind::kJaccard;
+  pair.node = nodes.front();
+  pair.other = nodes.back();
+  pair.d = 3.0;
+  frames.push_back(
+      EncodeFrame(MessageType::kPointRequest, EncodePointRequest(pair)));
+  return frames;
+}
+
+ServerOptions UncachedOptions() {
+  ServerOptions options;
+  options.point_cache_entries = 0;  // every request reads the backend
+  options.sweep_cache_entries = 0;
+  return options;
+}
+
+std::vector<std::string> Serve(const AdsBackend& backend,
+                               const std::vector<std::string>& frames) {
+  AdsServerCore core(&backend, UncachedOptions());
+  std::vector<std::string> responses;
+  for (const std::string& frame : frames) {
+    bool close = false;
+    responses.push_back(core.HandleFrame(frame, &close));
+  }
+  return responses;
+}
+
+// Writers publish by rename, never by truncating in place: a server that
+// has a shard directory and a single file mapped keeps serving the old
+// sketches, byte for byte, while another thread rewrites both paths with
+// a differently seeded set (an in-place rewrite truncates the mapped
+// file, and the next read of a dropped page dies with SIGBUS). Reopening
+// then serves the new set.
+TEST(BackendTest, RewritingServedFilesKeepsLiveMappingsIntact) {
+  FlatAdsSet old_set = BuildFlat(240, 61, 8);
+  FlatAdsSet new_set = BuildFlat(240, 67, 8);
+  PrecomputeHipWeights(&old_set, 1);
+  ScratchDir dir("hipads_backend_test_rewrite");
+  std::string file_path = dir.file("set.ads2");
+  std::string shard_dir = dir.file("shards");
+  ASSERT_TRUE(
+      WriteAdsSetFile(old_set, file_path, AdsFileFormat::kBinaryV2).ok());
+  ASSERT_TRUE(WriteShardedAdsSet(old_set, shard_dir, 4).ok());
+
+  const std::vector<std::string> frames = ServingFrames({0, 97, 181, 239});
+  FlatAdsBackend old_flat(&old_set);
+  const std::vector<std::string> old_refs = Serve(old_flat, frames);
+  FlatAdsBackend new_flat(&new_set);
+  const std::vector<std::string> new_refs = Serve(new_flat, frames);
+  ASSERT_NE(old_refs, new_refs);  // the rewrite really changes answers
+
+  auto mapped = MmapAdsSet::Open(file_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE(mapped.value().zero_copy());
+  auto sharded = ShardedAdsSet::Open(shard_dir);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  std::atomic<bool> writing{true};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> write_failures{0};
+  std::thread writer([&] {
+    for (int round = 0; round < 8; ++round) {
+      if (!WriteAdsSetFile(new_set, file_path, AdsFileFormat::kBinaryV2)
+               .ok() ||
+          !WriteShardedAdsSet(new_set, shard_dir, 4).ok()) {
+        write_failures.fetch_add(1);
+      }
+    }
+    writing.store(false);
+  });
+  std::vector<std::thread> readers;
+  for (const AdsBackend* backend :
+       {static_cast<const AdsBackend*>(&mapped.value()),
+        static_cast<const AdsBackend*>(&sharded.value())}) {
+    readers.emplace_back([&, backend] {
+      AdsServerCore core(backend, UncachedOptions());
+      do {
+        for (size_t i = 0; i < frames.size(); ++i) {
+          bool close = false;
+          if (core.HandleFrame(frames[i], &close) != old_refs[i]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      } while (writing.load());
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(write_failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+
+  // No temp file survives a successful publish.
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           dir.path)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+              std::string::npos)
+        << entry.path();
   }
 
-  // The factory refuses the whole open when validation is requested.
-  AdsBackendOptions factory_options;
-  factory_options.validate_files = true;
-  auto refused = OpenAdsBackend(shard_dir, factory_options);
-  EXPECT_FALSE(refused.ok());
+  auto remapped = MmapAdsSet::Open(file_path);
+  ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
+  EXPECT_EQ(Serve(remapped.value(), frames), new_refs);
+  auto resharded = ShardedAdsSet::Open(shard_dir);
+  ASSERT_TRUE(resharded.ok()) << resharded.status().ToString();
+  EXPECT_EQ(Serve(resharded.value(), frames), new_refs);
 }
 
 TEST(BackendTest, OpenAdsBackendDispatchesOnPathAndMode) {
@@ -393,7 +460,7 @@ TEST(BackendTest, HipAbsentWithoutStoredSection) {
   FlatAdsBackend flat(&set);
   auto mapped = MmapAdsSet::Open(path);
   ASSERT_TRUE(mapped.ok());
-  auto sharded = ShardedAdsSet::Open(shard_dir, ShardedOptions{});
+  auto sharded = ShardedAdsSet::Open(shard_dir);
   ASSERT_TRUE(sharded.ok());
   for (const AdsBackend* backend :
        {static_cast<const AdsBackend*>(&flat),
@@ -429,22 +496,17 @@ TEST(BackendTest, EveryEngineServesStoredHipWeights) {
   EXPECT_TRUE(mapped.value().HipResident());
   ExpectHipMatchesReference(mapped.value(), set);
 
-  for (bool use_mmap : {false, true}) {
-    ShardedOptions options;
-    options.use_mmap = use_mmap;
-    auto sharded = ShardedAdsSet::Open(shard_dir, options);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    EXPECT_TRUE(sharded.value().ValidateFiles().ok());  // hip-sized shards
-    EXPECT_TRUE(sharded.value().HipResident()) << "mmap=" << use_mmap;
-    ExpectHipMatchesReference(sharded.value(), set);
-    // Range views carry the hip arrays with range-local indexing.
-    auto range = sharded.value().Range(1);
-    ASSERT_TRUE(range.ok());
-    ASSERT_TRUE(range.value().has_hip());
-    const NodeId begin = range.value().begin;
-    HipView local = range.value().hip_of_local(1);
-    EXPECT_EQ(local.tau[0], set.hip_tau[set.offsets[begin + 1]]);
-  }
+  auto sharded = ShardedAdsSet::Open(shard_dir);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  EXPECT_TRUE(sharded.value().HipResident());
+  ExpectHipMatchesReference(sharded.value(), set);
+  // Range views carry the hip arrays with range-local indexing.
+  auto range = sharded.value().Range(1);
+  ASSERT_TRUE(range.ok());
+  ASSERT_TRUE(range.value().has_hip());
+  const NodeId begin = range.value().begin;
+  HipView local = range.value().hip_of_local(1);
+  EXPECT_EQ(local.tau[0], set.hip_tau[set.offsets[begin + 1]]);
 }
 
 TEST(BackendTest, MixedShardedSetServesResidentShardsAndScansTheRest) {
@@ -465,13 +527,10 @@ TEST(BackendTest, MixedShardedSetServesResidentShardsAndScansTheRest) {
   ASSERT_TRUE(
       WriteAdsSetFile(loaded.value(), victim, AdsFileFormat::kBinaryV2).ok());
 
-  ShardedOptions options;
-  options.max_resident = 2;
-  auto opened = ShardedAdsSet::Open(shard_dir, options);
-  ASSERT_TRUE(opened.ok());
+  auto opened = ShardedAdsSet::Open(shard_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();  // both legal
   const ShardedAdsSet& sharded = opened.value();
-  EXPECT_TRUE(sharded.ValidateFiles().ok());  // both sizes are legal
-  EXPECT_FALSE(sharded.HipResident());        // not EVERY shard has it
+  EXPECT_FALSE(sharded.HipResident());  // not EVERY shard has it
   uint32_t present = 0, absent = 0;
   for (NodeId v = 0; v < set.num_nodes(); ++v) {
     auto hip = sharded.HipOf(v);

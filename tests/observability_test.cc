@@ -207,6 +207,79 @@ TEST(ObservabilityTest, ServerScrapeAccountsExactlyForIssuedRequests) {
   EXPECT_GT(CounterOf(snap, "ads.sweep.entries"), 0u);
 }
 
+// Forwards to a backend, but parks every Range() call until released, so
+// a test can observe a sweep while it is running.
+class BlockingBackend : public AdsBackend {
+ public:
+  explicit BlockingBackend(const AdsBackend* inner) : inner_(inner) {}
+
+  SketchFlavor flavor() const override { return inner_->flavor(); }
+  uint32_t k() const override { return inner_->k(); }
+  const RankAssignment& ranks() const override { return inner_->ranks(); }
+  size_t num_nodes() const override { return inner_->num_nodes(); }
+  uint64_t TotalEntries() const override { return inner_->TotalEntries(); }
+  uint32_t NumRanges() const override { return inner_->NumRanges(); }
+  StatusOr<AdsArenaView> Range(uint32_t r) const override {
+    entered_.store(true);
+    while (!released_.load()) std::this_thread::yield();
+    return inner_->Range(r);
+  }
+  StatusOr<AdsView> ViewOf(NodeId v) const override {
+    return inner_->ViewOf(v);
+  }
+
+  bool entered() const { return entered_.load(); }
+  void Release() { released_.store(true); }
+
+ private:
+  const AdsBackend* inner_;
+  mutable std::atomic<bool> entered_{false};
+  std::atomic<bool> released_{false};
+};
+
+// serve.active_sweeps counts the sweeps running right now, on every
+// backend: a scrape taken mid-sweep sees it, and it drops back to 0 once
+// the sweep answers.
+TEST(ObservabilityTest, ActiveSweepsGaugeTracksRunningSweeps) {
+  MetricsRegistry::Get().ResetForTest();
+  FlatAdsSet set = BuildFlat(60, 3, 4);
+  FlatAdsBackend flat(&set);
+  BlockingBackend blocking(&flat);
+  ServerOptions options;
+  options.sweep_cache_entries = 0;
+  AdsServerCore core(&blocking, options);
+  LoopbackChannel channel(&core);
+  AdsClient client(&channel);
+
+  SweepRequestMsg sweep;
+  sweep.collectors = {{CollectorKind::kHarmonic, 0, 0, 0.0}};
+  sweep.num_threads = 1;
+  const std::string sweep_frame =
+      EncodeFrame(MessageType::kSweepRequest, EncodeSweepRequest(sweep));
+  std::string response;
+  std::thread sweeper([&] {
+    bool close = false;
+    response = core.HandleFrame(sweep_frame, &close);
+  });
+  while (!blocking.entered()) std::this_thread::yield();
+
+  auto during = client.Stats();
+  blocking.Release();
+  sweeper.join();
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  EXPECT_GE(GaugeOf(during.value().snapshots[0].metrics,
+                    "serve.active_sweeps"),
+            1);
+  auto decoded = DecodeFrame(response);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().type, MessageType::kSweepResponse);
+
+  auto after = client.Stats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(GaugeOf(after.value().snapshots[0].metrics, "serve.active_sweeps"),
+            0);
+}
+
 // The determinism guarantee, under concurrency: responses are bitwise
 // identical with metrics on, metrics off, and while a scrape loop
 // hammers kStatsRequest mid-load; counters still sum exactly.

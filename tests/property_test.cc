@@ -344,11 +344,7 @@ TEST_P(AdsPropertyTest, ResidentHipSurvivesStorageBitwiseForEveryRankKind) {
     auto mapped = MmapAdsSet::Open(path, beta);
     ASSERT_TRUE(mapped.ok()) << rc.name << ": " << mapped.status().ToString();
     ASSERT_TRUE(mapped.value().HipResident()) << rc.name;
-    ShardedOptions options;
-    options.beta = beta;
-    options.max_resident = 2;
-    options.use_mmap = true;
-    auto sharded = ShardedAdsSet::Open(shard_dir, options);
+    auto sharded = ShardedAdsSet::Open(shard_dir, beta);
     ASSERT_TRUE(sharded.ok()) << rc.name << ": "
                               << sharded.status().ToString();
     EXPECT_FALSE(sharded.value().HipResident()) << rc.name;  // mixed

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "ads/builders.h"
 #include "ads/estimators.h"
@@ -214,6 +220,33 @@ TEST(SerializeTest, ReadMissingFileFails) {
   auto result = ReadAdsSetFile("/nonexistent/sketches.ads");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kIOError);
+}
+
+// WriteFileAtomically replaces the target whole, and a publish that fails
+// (here: the target is a directory, so the rename is refused) reports
+// IOError and leaves no temp file behind.
+TEST(SerializeTest, AtomicWriteReplacesOrLeavesNoTrace) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "hipads_serialize_atomic";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "occupied");
+  const std::string file = (dir / "file").string();
+  ASSERT_TRUE(WriteFileAtomically(file, "first version, longer").ok());
+  ASSERT_TRUE(WriteFileAtomically(file, "second").ok());
+  std::ifstream in(file, std::ios::binary);
+  std::stringstream content;
+  content << in.rdbuf();
+  EXPECT_EQ(content.str(), "second");
+
+  Status refused = WriteFileAtomically((dir / "occupied").string(), "x");
+  EXPECT_EQ(refused.code(), Status::Code::kIOError) << refused.ToString();
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"file", "occupied"}));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 
 #include "ads/backend.h"
 #include "ads/builders.h"
+#include "ads/shard.h"
 #include "graph/generators.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -403,8 +405,8 @@ TEST(ServeFaultTest, DroppedBatchFramesAreRetriedToIdenticalEntries) {
   EXPECT_GE(fleet.faulty->calls(), 3u);  // the drops actually fired
 }
 
-// A handler shedding every entry of the first batch frames — the
-// serialized-backend-busy answer, mid-batch.
+// A handler shedding every entry of the first batch frames with a
+// retryable Unavailable, mid-batch.
 class BatchSheddingHandler : public FrameHandler {
  public:
   BatchSheddingHandler(FrameHandler* inner, int shed_batches)
@@ -420,8 +422,7 @@ class BatchSheddingHandler : public FrameHandler {
       PointBatchResponseMsg response;
       response.entries.resize(msg.value().entries.size());
       for (PointBatchResponseEntry& entry : response.entries) {
-        entry.status = Status::Unavailable(
-            "backend busy with a sweep; point lookup shed, retry");
+        entry.status = Status::Unavailable("point lookup shed, retry");
       }
       sheds_.fetch_add(1);
       *close_connection = false;
@@ -641,25 +642,26 @@ TEST(ServeFaultTest, KilledTcpServerFailsClosedThenRecovers) {
   server_lo.Stop();
 }
 
-// The lock-free serving contract (tsan): an immutable backend serves
-// sweeps and point lookups from many threads concurrently — no mutex, no
-// cache (disabled here so every request computes) — and every response is
-// bitwise identical to its serial counterpart.
+// The lock-free serving contract (tsan): every backend — the in-memory
+// arena and a mapped shard directory alike — serves sweeps and point
+// lookups from many threads concurrently — no mutex, no cache (disabled
+// here so every request computes) — and every response is bitwise
+// identical to its serial counterpart, which is the same on both engines.
 TEST(ServeFaultTest, ConcurrentSweepsAndPointsAreBitwiseDeterministic) {
   FlatAdsSet set = BuildFlat(150, 53, 8);
-  FlatAdsBackend backend(&set);
-  ASSERT_TRUE(backend.ImmutableReads());
-  ServerOptions options;
-  options.point_cache_entries = 0;
-  options.sweep_cache_entries = 0;
-  options.num_threads = 2;
-  AdsServerCore core(&backend, options);
+  const std::string shard_dir =
+      (std::filesystem::temp_directory_path() / "hipads_fault_concurrent")
+          .string();
+  std::filesystem::remove_all(shard_dir);
+  ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 3).ok());
+  auto sharded = ShardedAdsSet::Open(shard_dir);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  FlatAdsBackend flat(&set);
 
-  // Serial references: one sweep frame, a few point frames.
   SweepRequestMsg sweep;
   sweep.collectors = SmallSpec();
   sweep.num_threads = 2;
-  std::string sweep_frame =
+  const std::string sweep_frame =
       EncodeFrame(MessageType::kSweepRequest, EncodeSweepRequest(sweep));
   std::vector<std::string> point_frames;
   for (uint64_t node : {3ull, 77ull, 149ull}) {
@@ -669,44 +671,62 @@ TEST(ServeFaultTest, ConcurrentSweepsAndPointsAreBitwiseDeterministic) {
     point_frames.push_back(
         EncodeFrame(MessageType::kPointRequest, EncodePointRequest(p)));
   }
-  bool close_connection = false;
-  const std::string sweep_ref =
-      core.HandleFrame(sweep_frame, &close_connection);
-  std::vector<std::string> point_refs;
-  for (const std::string& f : point_frames) {
-    point_refs.push_back(core.HandleFrame(f, &close_connection));
-  }
 
-  // Concurrent mixed load: sweeps and points overlap freely.
-  constexpr int kSweepThreads = 3;
-  constexpr int kPointThreads = 4;
-  constexpr int kIters = 8;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kSweepThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        bool close = false;
-        if (core.HandleFrame(sweep_frame, &close) != sweep_ref) {
-          mismatches.fetch_add(1);
+  std::string engine_refs;  // the first engine's serial responses
+  for (const AdsBackend* backend :
+       {static_cast<const AdsBackend*>(&flat),
+        static_cast<const AdsBackend*>(&sharded.value())}) {
+    ServerOptions options;
+    options.point_cache_entries = 0;
+    options.sweep_cache_entries = 0;
+    options.num_threads = 2;
+    AdsServerCore core(backend, options);
+
+    // Serial references: one sweep frame, a few point frames.
+    bool close_connection = false;
+    const std::string sweep_ref =
+        core.HandleFrame(sweep_frame, &close_connection);
+    std::vector<std::string> point_refs;
+    for (const std::string& f : point_frames) {
+      point_refs.push_back(core.HandleFrame(f, &close_connection));
+    }
+    std::string refs = sweep_ref;
+    for (const std::string& r : point_refs) refs += r;
+    if (engine_refs.empty()) engine_refs = refs;
+    EXPECT_EQ(refs, engine_refs) << "engines disagree";
+
+    // Concurrent mixed load: sweeps and points overlap freely.
+    constexpr int kSweepThreads = 3;
+    constexpr int kPointThreads = 4;
+    constexpr int kIters = 8;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kSweepThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kIters; ++i) {
+          bool close = false;
+          if (core.HandleFrame(sweep_frame, &close) != sweep_ref) {
+            mismatches.fetch_add(1);
+          }
         }
-      }
-    });
-  }
-  for (int t = 0; t < kPointThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kIters * 4; ++i) {
-        size_t which = (t + i) % point_frames.size();
-        bool close = false;
-        if (core.HandleFrame(point_frames[which], &close) !=
-            point_refs[which]) {
-          mismatches.fetch_add(1);
+      });
+    }
+    for (int t = 0; t < kPointThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kIters * 4; ++i) {
+          size_t which = (t + i) % point_frames.size();
+          bool close = false;
+          if (core.HandleFrame(point_frames[which], &close) !=
+              point_refs[which]) {
+            mismatches.fetch_add(1);
+          }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0);
   }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
+  std::filesystem::remove_all(shard_dir);
 }
 
 }  // namespace

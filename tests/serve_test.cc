@@ -1,7 +1,7 @@
 // The distributed serving subsystem (src/serve/). The acceptance
 // contract: every sweep statistic computed through the scatter/gather
 // router — loopback transport, >= 2 range servers, every backend engine
-// (in-memory copy, zero-copy mmap, sharded-with-prefetch, mixed fleets),
+// (in-memory copy, zero-copy mmap, mapped shard directory, mixed fleets),
 // multiple per-server thread counts — is bitwise identical to a
 // single-process RunSweep over the same sketches; point requests route to
 // the owning range server (cross-server similarity runs router-side on
@@ -166,10 +166,7 @@ RangeServer MakeRangeServer(const FlatAdsSet& full, NodeId begin, NodeId end,
     case Engine::kSharded: {
       std::string shard_dir = dir.file(name + "-shards");
       EXPECT_TRUE(WriteShardedAdsSet(slice, shard_dir, 2).ok());
-      ShardedOptions options;
-      options.prefetch = true;
-      options.prefetch_depth = 2;
-      auto sharded = ShardedAdsSet::Open(shard_dir, options);
+      auto sharded = ShardedAdsSet::Open(shard_dir);
       EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
       server.backend =
           std::make_unique<ShardedAdsSet>(std::move(sharded).value());

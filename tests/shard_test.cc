@@ -1,6 +1,6 @@
-// ShardedAdsSet: sharded write/open round-trips, lazy loading with bounded
-// residency, and — the serving contract — whole-graph estimator sweeps that
-// match the unsharded FlatAdsSet results bitwise.
+// ShardedAdsSet: sharded write/open round-trips, damaged directories that
+// fail at open, and — the serving contract — whole-graph estimator sweeps
+// that match the unsharded FlatAdsSet results bitwise.
 
 #include "ads/shard.h"
 
@@ -76,28 +76,11 @@ TEST(ShardTest, RoundTripPointLookupsBitIdentical) {
   }
 }
 
-TEST(ShardTest, LazyLoadingBoundsResidentShards) {
-  FlatAdsSet set = BuildFlat(120, 13, 4);
-  ScratchDir dir("hipads_shard_test_lazy");
-  ASSERT_TRUE(WriteShardedAdsSet(set, dir.path, 6).ok());
-  auto opened = ShardedAdsSet::Open(dir.path, nullptr, /*max_resident=*/2);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const ShardedAdsSet& sharded = opened.value();
-  EXPECT_EQ(sharded.NumResident(), 0u);  // nothing loaded at open
-  for (NodeId v = 0; v < set.num_nodes(); ++v) {
-    ASSERT_TRUE(sharded.ViewOf(v).ok());
-    EXPECT_LE(sharded.NumResident(), 2u);
-  }
-  EXPECT_EQ(sharded.NumResident(), 2u);
-}
-
 TEST(ShardTest, SweepsMatchUnshardedBitwise) {
   FlatAdsSet set = BuildFlat(180, 21, 8);
   ScratchDir dir("hipads_shard_test_sweeps");
   ASSERT_TRUE(WriteShardedAdsSet(set, dir.path, 5).ok());
-  // max_resident = 1: every sweep must still match with only one shard
-  // arena in memory at a time.
-  auto opened = ShardedAdsSet::Open(dir.path, nullptr, /*max_resident=*/1);
+  auto opened = ShardedAdsSet::Open(dir.path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const ShardedAdsSet& sharded = opened.value();
 
@@ -174,10 +157,11 @@ TEST(ShardTest, MissingShardFileFailsCleanly) {
   std::filesystem::remove(std::filesystem::path(dir.path) /
                           "shard-00002.ads2");
   auto opened = ShardedAdsSet::Open(dir.path);
-  ASSERT_TRUE(opened.ok());  // manifest opens; the hole surfaces lazily
-  auto result = EstimateHarmonicCentralityAll(opened.value());
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), Status::Code::kIOError);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), Status::Code::kIOError);
+  EXPECT_NE(opened.status().message().find("shard-00002.ads2"),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST(ShardTest, CorruptShardFileFailsCleanly) {
@@ -199,10 +183,11 @@ TEST(ShardTest, CorruptShardFileFailsCleanly) {
   f.close();
 
   auto opened = ShardedAdsSet::Open(dir.path);
-  ASSERT_TRUE(opened.ok());
-  auto result = EstimateHarmonicCentralityAll(opened.value());
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(opened.status().message().find("shard-00001.ads2"),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST(ShardTest, ShardInconsistentWithManifestRejected) {
@@ -218,10 +203,11 @@ TEST(ShardTest, ShardInconsistentWithManifestRejected) {
                   AdsFileFormat::kBinaryV2)
                   .ok());
   auto opened = ShardedAdsSet::Open(dir.path);
-  ASSERT_TRUE(opened.ok());
-  auto result = opened.value().Range(1);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(opened.status().message().find("shard-00001.ads2"),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST(ShardTest, ManifestGarbageRejected) {

@@ -1,16 +1,16 @@
 // The fused sweep-execution engine (ads/sweep.h). The serving contract:
 // a SweepPlan with K collectors produces results bitwise identical to
 // running the K statistics as standalone queries — on every storage
-// engine (in-memory arena, zero-copy mmap, sharded with and without
-// prefetch at every lookahead depth) and for every thread count — while
-// costing exactly ONE backend pass (observable through the sharded
-// backend's shard-load counter). Plus the failure contract (a truncated
-// shard fails the whole plan) and the SoA layout's bitwise equivalence.
+// engine (in-memory arena, zero-copy mmap, mapped shard directory) and for
+// every thread count — while costing exactly ONE backend pass (observable
+// through a Range-counting decorator). Plus the failure contract: a
+// truncated shard fails the open, before any plan runs.
 
 #include "ads/sweep.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -43,6 +43,35 @@ struct ScratchDir {
     return (std::filesystem::path(path) / name).string();
   }
   std::string path;
+};
+
+// Forwards to a backend and counts Range() calls: a sweep takes exactly
+// one per range, so the count is the number of backend passes times
+// NumRanges().
+class RangeCountingBackend : public AdsBackend {
+ public:
+  explicit RangeCountingBackend(const AdsBackend* inner) : inner_(inner) {}
+
+  SketchFlavor flavor() const override { return inner_->flavor(); }
+  uint32_t k() const override { return inner_->k(); }
+  const RankAssignment& ranks() const override { return inner_->ranks(); }
+  size_t num_nodes() const override { return inner_->num_nodes(); }
+  uint64_t TotalEntries() const override { return inner_->TotalEntries(); }
+  uint32_t NumRanges() const override { return inner_->NumRanges(); }
+  StatusOr<AdsArenaView> Range(uint32_t r) const override {
+    ranges_.fetch_add(1);
+    return inner_->Range(r);
+  }
+  StatusOr<AdsView> ViewOf(NodeId v) const override {
+    return inner_->ViewOf(v);
+  }
+  StatusOr<HipView> HipOf(NodeId v) const override { return inner_->HipOf(v); }
+
+  uint32_t ranges() const { return ranges_.load(); }
+
+ private:
+  const AdsBackend* inner_;
+  mutable std::atomic<uint32_t> ranges_{0};
 };
 
 double AlphaFn(double d) { return 1.0 / (1.0 + d); }
@@ -132,21 +161,12 @@ TEST(SweepTest, FusedPlanBitwiseIdenticalAcrossBackends) {
       ASSERT_TRUE(RunSweep(mapped.value(), fused.plan, threads).ok());
       fused.ExpectMatchesStandalone(set);
     }
-    for (bool use_mmap : {false, true}) {
-      for (uint32_t depth : {0u, 1u, 2u, 3u}) {  // 0 = prefetch off
-        ShardedOptions options;
-        options.max_resident = 1;
-        options.prefetch = depth > 0;
-        options.prefetch_depth = depth == 0 ? 1 : depth;
-        options.use_mmap = use_mmap;
-        auto sharded = ShardedAdsSet::Open(shard_dir, options);
-        ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-        SixStatPlan fused;
-        ASSERT_TRUE(RunSweep(sharded.value(), fused.plan, threads).ok())
-            << "mmap=" << use_mmap << " depth=" << depth;
-        fused.ExpectMatchesStandalone(set);
-        EXPECT_LE(sharded.value().NumResident(), 1u);
-      }
+    {
+      auto sharded = ShardedAdsSet::Open(shard_dir);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      SixStatPlan fused;
+      ASSERT_TRUE(RunSweep(sharded.value(), fused.plan, threads).ok());
+      fused.ExpectMatchesStandalone(set);
     }
   }
 }
@@ -181,60 +201,47 @@ TEST(SweepTest, FusedPlanBitwiseIdenticalWithResidentHipWeights) {
       ASSERT_TRUE(RunSweep(mapped.value(), fused.plan, threads).ok());
       fused.ExpectMatchesStandalone(reference);
     }
-    for (bool use_mmap : {false, true}) {
-      ShardedOptions options;
-      options.max_resident = 1;
-      options.use_mmap = use_mmap;
-      auto sharded = ShardedAdsSet::Open(shard_dir, options);
+    {
+      auto sharded = ShardedAdsSet::Open(shard_dir);
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
       ASSERT_TRUE(sharded.value().HipResident());
       SixStatPlan fused;
-      ASSERT_TRUE(RunSweep(sharded.value(), fused.plan, threads).ok())
-          << "mmap=" << use_mmap;
+      ASSERT_TRUE(RunSweep(sharded.value(), fused.plan, threads).ok());
       fused.ExpectMatchesStandalone(reference);
     }
   }
 }
 
 // The fusion guarantee the engine exists for: K statistics over a sharded
-// backend cost exactly ONE shard sweep — each shard file is loaded once —
-// where the standalone queries cost K sweeps.
+// backend cost exactly ONE pass — each shard range is read once — where
+// the standalone queries cost K passes.
 TEST(SweepTest, SixStatisticPlanSweepsShardsExactlyOnce) {
   FlatAdsSet set = BuildFlat(200, 11, 8);
   ScratchDir dir("hipads_sweep_test_loads");
   std::string shard_dir = dir.file("shards");
   ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 5).ok());
+  auto opened = ShardedAdsSet::Open(shard_dir);
+  ASSERT_TRUE(opened.ok());
+  ASSERT_EQ(opened.value().num_shards(), 5u);
 
-  for (bool prefetch : {false, true}) {
-    ShardedOptions options;
-    options.max_resident = 1;
-    options.prefetch = prefetch;
-    options.prefetch_depth = 2;
-    auto opened = ShardedAdsSet::Open(shard_dir, options);
-    ASSERT_TRUE(opened.ok());
-    const ShardedAdsSet& sharded = opened.value();
-    ASSERT_EQ(sharded.num_shards(), 5u);
-    EXPECT_EQ(sharded.NumShardLoads(), 0u);  // open loads nothing
-
+  {
+    RangeCountingBackend counted(&opened.value());
     SixStatPlan fused;
-    ASSERT_TRUE(RunSweep(sharded, fused.plan, 1).ok());
-    EXPECT_EQ(sharded.NumShardLoads(), 5u) << "prefetch=" << prefetch;
+    ASSERT_TRUE(RunSweep(counted, fused.plan, 1).ok());
+    EXPECT_EQ(counted.ranges(), 5u);
     fused.ExpectMatchesStandalone(set);
   }
 
-  // The same six statistics as standalone queries: six full sweeps, six
-  // loads of every shard (max_resident=1 keeps nothing across sweeps).
+  // The same six statistics as standalone queries: six full passes.
   {
-    auto opened = ShardedAdsSet::Open(shard_dir, ShardedOptions{});
-    ASSERT_TRUE(opened.ok());
-    const ShardedAdsSet& sharded = opened.value();
-    ASSERT_TRUE(EstimateDistanceDistribution(sharded, 1).ok());
-    ASSERT_TRUE(EstimateClosenessAll(sharded, AlphaFn, BetaFn, 1).ok());
-    ASSERT_TRUE(EstimateDistanceSumAll(sharded, 1).ok());
-    ASSERT_TRUE(EstimateHarmonicCentralityAll(sharded, 1).ok());
-    ASSERT_TRUE(EstimateNeighborhoodSizeAll(sharded, 2.0, 1).ok());
-    ASSERT_TRUE(EstimateReachableCountAll(sharded, 1).ok());
-    EXPECT_EQ(sharded.NumShardLoads(), 30u);  // 6 statistics x 5 shards
+    RangeCountingBackend counted(&opened.value());
+    ASSERT_TRUE(EstimateDistanceDistribution(counted, 1).ok());
+    ASSERT_TRUE(EstimateClosenessAll(counted, AlphaFn, BetaFn, 1).ok());
+    ASSERT_TRUE(EstimateDistanceSumAll(counted, 1).ok());
+    ASSERT_TRUE(EstimateHarmonicCentralityAll(counted, 1).ok());
+    ASSERT_TRUE(EstimateNeighborhoodSizeAll(counted, 2.0, 1).ok());
+    ASSERT_TRUE(EstimateReachableCountAll(counted, 1).ok());
+    EXPECT_EQ(counted.ranges(), 30u);  // 6 statistics x 5 shards
   }
 }
 
@@ -243,15 +250,17 @@ TEST(SweepTest, EmptyPlanTouchesNoShards) {
   ScratchDir dir("hipads_sweep_test_empty");
   std::string shard_dir = dir.file("shards");
   ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 3).ok());
-  auto opened = ShardedAdsSet::Open(shard_dir, ShardedOptions{});
+  auto opened = ShardedAdsSet::Open(shard_dir);
   ASSERT_TRUE(opened.ok());
+  RangeCountingBackend counted(&opened.value());
   SweepPlan plan;
-  ASSERT_TRUE(RunSweep(opened.value(), plan, 1).ok());
-  EXPECT_EQ(opened.value().NumShardLoads(), 0u);
+  ASSERT_TRUE(RunSweep(counted, plan, 1).ok());
+  EXPECT_EQ(counted.ranges(), 0u);
 }
 
-// Error propagation: a shard truncated mid-plan fails the whole sweep
-// with Corruption — no partial results are reported as success.
+// A truncated shard can never fail a plan halfway: the open maps and
+// validates every shard, so the damage surfaces there — Corruption,
+// naming the file — before any collector sees a node.
 TEST(SweepTest, TruncatedShardFailsThePlan) {
   FlatAdsSet set = BuildFlat(160, 17, 4);
   ScratchDir dir("hipads_sweep_test_truncated");
@@ -265,98 +274,12 @@ TEST(SweepTest, TruncatedShardFailsThePlan) {
   std::filesystem::resize_file(victim, size - 24, ec);
   ASSERT_FALSE(ec);
 
-  for (bool use_mmap : {false, true}) {
-    for (bool prefetch : {false, true}) {
-      ShardedOptions options;
-      options.use_mmap = use_mmap;
-      options.prefetch = prefetch;
-      options.prefetch_depth = 2;
-      auto opened = ShardedAdsSet::Open(shard_dir, options);
-      ASSERT_TRUE(opened.ok());
-      SixStatPlan fused;
-      Status swept = RunSweep(opened.value(), fused.plan, 1);
-      ASSERT_FALSE(swept.ok())
-          << "mmap=" << use_mmap << " prefetch=" << prefetch;
-      EXPECT_EQ(swept.code(), Status::Code::kCorruption);
-      // Shards 0 and 1 were swept before the failure; the error must
-      // still surface from the plan as a whole.
-    }
-  }
-}
-
-// tsan target: deep prefetch pipelines (lookahead 2 and 3) overlap
-// multiple background loads with consumer sweeps; repeated runs must stay
-// deterministic, race-free, and bitwise equal to non-prefetching serving.
-TEST(SweepTest, DeepPrefetchSweepsAreDeterministic) {
-  FlatAdsSet set = BuildFlat(210, 19, 8);
-  ScratchDir dir("hipads_sweep_test_depth");
-  std::string shard_dir = dir.file("shards");
-  ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 6).ok());
-
-  std::vector<double> reference = EstimateHarmonicCentralityAll(set, 1);
-  for (bool use_mmap : {false, true}) {
-    for (uint32_t depth : {2u, 3u}) {
-      ShardedOptions options;
-      options.max_resident = 2;
-      options.prefetch = true;
-      options.prefetch_depth = depth;
-      options.use_mmap = use_mmap;
-      auto opened = ShardedAdsSet::Open(shard_dir, options);
-      ASSERT_TRUE(opened.ok());
-      const ShardedAdsSet& sharded = opened.value();
-      for (int round = 0; round < 3; ++round) {
-        auto scores = EstimateHarmonicCentralityAll(sharded, 2);
-        ASSERT_TRUE(scores.ok());
-        EXPECT_EQ(scores.value(), reference)
-            << "depth=" << depth << " round=" << round;
-        // Point lookups fault shards in out of sweep order between runs.
-        for (NodeId v : {0u, 209u, 100u}) {
-          ASSERT_TRUE(sharded.ViewOf(v).ok());
-        }
-        EXPECT_LE(sharded.NumResident(), 2u);
-      }
-    }
-  }
-}
-
-// The SoA split: per-field streams produce bitwise-identical HIP weights
-// and estimates for every flavor (the kernels are one template).
-TEST(SweepTest, SoaLayoutMatchesAosBitwise) {
-  Graph g = ErdosRenyi(140, 3ULL * 140, true, 23);
-  struct Case {
-    SketchFlavor flavor;
-    RankAssignment ranks;
-  };
-  const Case cases[] = {
-      {SketchFlavor::kBottomK, RankAssignment::Uniform(24)},
-      {SketchFlavor::kBottomK, RankAssignment::BaseB(24, 2.0)},
-      {SketchFlavor::kKMins, RankAssignment::Uniform(25)},
-      {SketchFlavor::kKPartition, RankAssignment::Uniform(26)},
-  };
-  for (const Case& c : cases) {
-    FlatAdsSet flat = FlatAdsSet::FromAdsSet(
-        BuildAdsPrunedDijkstra(g, 8, c.flavor, c.ranks));
-    SoaAdsArena soa = SoaAdsArena::FromFlat(flat);
-    ASSERT_EQ(soa.num_nodes(), flat.num_nodes());
-    ASSERT_EQ(soa.TotalEntries(), flat.TotalEntries());
-    for (NodeId v = 0; v < flat.num_nodes(); ++v) {
-      auto aos_hip = ComputeHipWeights(flat.of(v), 8, c.flavor, c.ranks);
-      auto soa_hip = ComputeHipWeights(soa.of(v), 8, c.flavor, c.ranks);
-      ASSERT_EQ(aos_hip.size(), soa_hip.size()) << "node " << v;
-      for (size_t i = 0; i < aos_hip.size(); ++i) {
-        EXPECT_EQ(aos_hip[i].node, soa_hip[i].node);
-        EXPECT_EQ(aos_hip[i].dist, soa_hip[i].dist);
-        EXPECT_EQ(aos_hip[i].tau, soa_hip[i].tau);
-        EXPECT_EQ(aos_hip[i].weight, soa_hip[i].weight);
-      }
-      HipEstimator aos_est(flat.of(v), 8, c.flavor, c.ranks);
-      HipEstimator soa_est(soa.of(v), 8, c.flavor, c.ranks);
-      EXPECT_EQ(aos_est.HarmonicCentrality(), soa_est.HarmonicCentrality());
-      EXPECT_EQ(aos_est.ReachableCount(), soa_est.ReachableCount());
-      EXPECT_EQ(aos_est.NeighborhoodCardinality(2.0),
-                soa_est.NeighborhoodCardinality(2.0));
-    }
-  }
+  auto opened = ShardedAdsSet::Open(shard_dir);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(opened.status().message().find("shard-00002.ads2"),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 // The collector-library additions: per-node distance quantiles and custom

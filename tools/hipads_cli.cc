@@ -36,12 +36,10 @@
 // `query` and `stats` accept a plain ADS file (v1 or v2, auto-detected) or
 // a shard directory / manifest written by `shard`; every input is served
 // through the unified AdsBackend storage layer. `--backend=copy` (default)
-// loads into a heap arena; `--backend=mmap` maps v2 files zero-copy.
-// Sharded sets honor `--resident N` (max shard arenas in memory) and
-// prefetch upcoming shards during whole-graph sweeps (`--prefetch D` sets
-// the lookahead depth, 0 disables). A manifest referencing a missing or
-// truncated shard file fails at open with a nonzero exit, before any
-// partial output.
+// loads a single file into a heap arena; `--backend=mmap` maps it zero-
+// copy. Shard directories are always mapped, every shard at open: a
+// manifest referencing a missing, truncated or corrupt shard file fails at
+// open with a nonzero exit, before any partial output.
 //
 // Whole-graph statistics run on the fused sweep engine (ads/sweep.h): all
 // statistics a command needs are collected in ONE pass over the backend —
@@ -86,8 +84,7 @@
 //   hipads_cli query --sketches s.ads2 --node 17 --lookup 4,8,15
 //   hipads_cli query --sketches s.ads2 --node 17 --jaccard 23 --distance 3
 //   hipads_cli query --sketches shards/ --top 10 --centrality harmonic
-//   hipads_cli stats --sketches shards/ --backend=mmap --resident 2
-//   hipads_cli stats --sketches shards/ --top 10 --prefetch 2
+//   hipads_cli stats --sketches shards/ --top 10
 //   hipads_cli stats --sketches s.ads2 --distance-quantile 0.5 --qg exp
 //   hipads_cli serve --sketches shards/shard-00000.ads2 --port 7470
 //   hipads_cli route --fleet fleet.txt --port 7480
@@ -497,9 +494,9 @@ void PrintNodeQuery(const Args& args, uint64_t node,
 }
 
 // One open path for every input kind (plain v1/v2 file or shard
-// directory) and both storage modes. Sharded opens validate the manifest's
-// file list up front, so a missing/truncated shard fails here — with a
-// clear message and nonzero exit — never as a partial sweep.
+// directory) and both storage modes. Sharded opens map and validate every
+// shard up front, so a missing/truncated shard fails here — with a clear
+// message and nonzero exit — never as a partial sweep.
 StatusOr<std::unique_ptr<AdsBackend>> OpenServingBackend(const Args& args) {
   std::string backend = args.Get("backend", "copy");
   AdsBackendOptions options;
@@ -511,13 +508,6 @@ StatusOr<std::unique_ptr<AdsBackend>> OpenServingBackend(const Args& args) {
     return Status::InvalidArgument("unknown --backend " + backend +
                                    " (copy|mmap)");
   }
-  options.max_resident = static_cast<uint32_t>(args.GetInt("resident", 1));
-  // --prefetch D: lookahead depth of the sharded prefetch pipeline
-  // (0 disables the background thread entirely).
-  uint64_t prefetch = args.GetInt("prefetch", 1);
-  options.prefetch = prefetch != 0;
-  options.prefetch_depth =
-      prefetch == 0 ? 1 : static_cast<uint32_t>(prefetch);
   return OpenAdsBackend(args.Get("sketches", "sketches.ads"), options);
 }
 
