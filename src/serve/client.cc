@@ -179,20 +179,6 @@ StatusOr<std::unique_ptr<TcpChannel>> TcpChannel::Connect(
   return last;
 }
 
-namespace {
-
-// Header length of a locally-encoded frame: the version field sits at
-// byte 8 of every header prefix and decides which extensions follow.
-size_t EncodedHeaderBytes(std::string_view frame) {
-  if (frame.size() < kFrameHeaderBytes) return frame.size();
-  uint32_t version = 0;
-  std::memcpy(&version, frame.data() + sizeof(kWireMagic), sizeof(version));
-  size_t header = FrameHeaderBytesForVersion(version);
-  return header > frame.size() ? frame.size() : header;
-}
-
-}  // namespace
-
 Status TcpChannel::Call(std::string_view request_frame, Frame* response,
                         const Deadline& deadline) {
   Deadline effective = deadline;
@@ -203,95 +189,24 @@ Status TcpChannel::Call(std::string_view request_frame, Frame* response,
   if (effective.Expired()) {
     return Status::DeadlineExceeded("deadline expired before send");
   }
-  if (options_.pipeline) {
-    return CallPipelined(request_frame, response, effective);
-  }
   MutexLock lock(mu_);
+  if (broken_) {
+    return Status::IOError(
+        "channel broken by an earlier failed call; reconnect");
+  }
   Status s = WriteAllBytes(fd_, request_frame.data(), request_frame.size(),
                            effective);
-  if (!s.ok()) return s;
-  auto frame = ReadFrame(fd_, effective);
-  if (!frame.ok()) return frame.status();
-  *response = std::move(frame).value();
-  return Status::Ok();
-}
-
-Status TcpChannel::CallPipelined(std::string_view request_frame,
-                                 Frame* response, const Deadline& deadline) {
-  // In-flight depth of the pipeline, scraped as a gauge: incremented once
-  // the frame is on the wire, decremented when its turn resolves (response
-  // read, error, or abandoned turn — the RAII guard covers every exit).
-  static MetricGauge* in_flight =
-      MetricsRegistry::Get().Gauge("client.tcp.pipelined_in_flight");
-  struct InFlightGuard {
-    MetricGauge* gauge = nullptr;
-    ~InFlightGuard() {
-      if (gauge != nullptr) gauge->Add(-1);
+  if (s.ok()) {
+    auto frame = ReadFrame(fd_, effective);
+    if (frame.ok()) {
+      *response = std::move(frame).value();
+      return Status::Ok();
     }
-  } guard;
-  uint64_t ticket = 0;
-  {
-    // Claim a ticket and put the frame on the wire; write order is ticket
-    // order, which is the order the server will answer in.
-    MutexLock lock(write_mu_);
-    if (broken_.load(std::memory_order_acquire)) {
-      return Status::IOError(
-          "pipelined channel broken by an earlier failure; reconnect");
-    }
-    ticket = next_ticket_++;
-    size_t header = EncodedHeaderBytes(request_frame);
-    Status s = WriteFrameVectored(fd_, request_frame.substr(0, header),
-                                  request_frame.substr(header), deadline);
-    if (!s.ok()) {
-      // The peer may have seen a partial frame; nothing sent after this
-      // point can be paired up reliably.
-      broken_.store(true, std::memory_order_release);
-      MutexLock waiters(read_mu_);
-      read_cv_.NotifyAll();
-      return s;
-    }
-    in_flight->Add(1);
-    guard.gauge = in_flight;
+    s = frame.status();
   }
-  MutexLock lock(read_mu_);
-  while (read_turn_ != ticket && !broken_.load(std::memory_order_acquire)) {
-    if (!deadline.has_deadline()) {
-      read_cv_.Wait(read_mu_);
-      continue;
-    }
-    if (read_cv_.WaitUntil(read_mu_, deadline.at()) ==
-            std::cv_status::timeout &&
-        read_turn_ != ticket) {
-      // The request is already on the wire and its response slot cannot
-      // be skipped (every later response would pair with the wrong
-      // caller), so an abandoned turn poisons the whole connection.
-      broken_.store(true, std::memory_order_release);
-      read_cv_.NotifyAll();
-      return Status::DeadlineExceeded(
-          "deadline expired awaiting the pipelined response turn");
-    }
-  }
-  if (broken_.load(std::memory_order_acquire)) {
-    return Status::IOError(
-        "pipelined channel broken by an earlier failure; reconnect");
-  }
-  Status s = ReadFrameInto(fd_, deadline, &read_frame_);
-  if (!s.ok()) {
-    broken_.store(true, std::memory_order_release);
-    read_cv_.NotifyAll();
-    return s;
-  }
-  response->type = read_frame_.type;
-  response->version = read_frame_.version;
-  response->deadline_ms = read_frame_.deadline_ms;
-  response->trace_hi = read_frame_.trace_hi;
-  response->trace_lo = read_frame_.trace_lo;
-  // Copy (not move) out of the connection-owned buffer, so its capacity
-  // keeps amortizing socket reads across calls.
-  response->payload = read_frame_.payload;
-  ++read_turn_;
-  read_cv_.NotifyAll();
-  return Status::Ok();
+  // The request may be on the wire: its response can no longer be paired.
+  broken_ = true;
+  return s;
 }
 
 StatusOr<Frame> AdsClient::Call(MessageType type, std::string payload,

@@ -10,7 +10,6 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include "util/hash.h"
@@ -84,9 +83,9 @@ size_t FrameHeaderBytesForVersion(uint32_t version) {
 // Frames
 // ---------------------------------------------------------------------------
 
-std::string EncodeFrameHeader(MessageType type, std::string_view payload,
-                              uint64_t deadline_ms, uint32_t version,
-                              uint64_t trace_hi, uint64_t trace_lo) {
+std::string EncodeFrame(MessageType type, std::string_view payload,
+                        uint64_t deadline_ms, uint32_t version,
+                        uint64_t trace_hi, uint64_t trace_lo) {
   assert(SupportedWireVersion(version));
   assert(!TypeRequiresV3(static_cast<uint32_t>(type)) ||
          version >= kWireVersion);
@@ -111,15 +110,9 @@ std::string EncodeFrameHeader(MessageType type, std::string_view payload,
   }
   uint64_t checksum = FrameChecksum(raw, header_bytes, payload);
   std::memcpy(raw + kChecksumOffset, &checksum, sizeof(checksum));
-  return std::string(raw, header_bytes);
-}
-
-std::string EncodeFrame(MessageType type, std::string_view payload,
-                        uint64_t deadline_ms, uint32_t version,
-                        uint64_t trace_hi, uint64_t trace_lo) {
-  std::string frame = EncodeFrameHeader(type, payload, deadline_ms, version,
-                                        trace_hi, trace_lo);
-  frame.reserve(frame.size() + payload.size());
+  std::string frame;
+  frame.reserve(header_bytes + payload.size());
+  frame.append(raw, header_bytes);
   frame.append(payload.data(), payload.size());
   return frame;
 }
@@ -225,8 +218,7 @@ StatusOr<Frame> DecodeFrame(std::string_view data) {
 namespace {
 
 // Blocks (via poll) until fd is ready for `events` or the deadline runs
-// out. With no deadline this polls forever — matching the blocking-fd
-// behavior the deadline-free entry points always had.
+// out. With no deadline this polls forever.
 Status WaitFd(int fd, short events, const Deadline& deadline) {
   for (;;) {
     int timeout_ms = -1;
@@ -302,54 +294,7 @@ Status WriteAllBytes(int fd, const char* data, size_t size,
   return Status::Ok();
 }
 
-Status WriteAllBytes(int fd, const char* data, size_t size) {
-  return WriteAllBytes(fd, data, size, Deadline());
-}
-
-Status WriteFrame(int fd, MessageType type, std::string_view payload) {
-  std::string frame = EncodeFrame(type, payload);
-  return WriteAllBytes(fd, frame.data(), frame.size());
-}
-
-Status WriteFrameVectored(int fd, std::string_view header,
-                          std::string_view payload, const Deadline& deadline) {
-  size_t done = 0;
-  const size_t total = header.size() + payload.size();
-  while (done < total) {
-    struct iovec iov[2];
-    int iovcnt = 0;
-    if (done < header.size()) {
-      iov[iovcnt].iov_base = const_cast<char*>(header.data() + done);
-      iov[iovcnt].iov_len = header.size() - done;
-      ++iovcnt;
-      if (!payload.empty()) {
-        iov[iovcnt].iov_base = const_cast<char*>(payload.data());
-        iov[iovcnt].iov_len = payload.size();
-        ++iovcnt;
-      }
-    } else {
-      size_t off = done - header.size();
-      iov[iovcnt].iov_base = const_cast<char*>(payload.data() + off);
-      iov[iovcnt].iov_len = payload.size() - off;
-      ++iovcnt;
-    }
-    ssize_t put = ::writev(fd, iov, iovcnt);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        Status s = WaitFd(fd, POLLOUT, deadline);
-        if (!s.ok()) return s;
-        continue;
-      }
-      return Status::IOError("writev failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    done += static_cast<size_t>(put);
-  }
-  return Status::Ok();
-}
-
-Status ReadFrameInto(int fd, const Deadline& deadline, Frame* out) {
+StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline) {
   char raw[kMaxFrameHeaderBytes];
   Status s = ReadExact(fd, raw, kFrameHeaderBytes, deadline);
   if (!s.ok()) return s;
@@ -363,31 +308,21 @@ Status ReadFrameInto(int fd, const Deadline& deadline, Frame* out) {
     s = DecodeFrameHeaderExt(raw + kFrameHeaderBytes, ext, &header);
     if (!s.ok()) return s;
   }
-  // resize() keeps the string's capacity: a long-lived Frame amortizes its
-  // receive buffer across calls instead of allocating per response.
-  out->payload.resize(header.payload_bytes);
-  if (!out->payload.empty()) {
-    s = ReadExact(fd, out->payload.data(), out->payload.size(), deadline);
+  Frame frame;
+  frame.payload.resize(header.payload_bytes);
+  if (!frame.payload.empty()) {
+    s = ReadExact(fd, frame.payload.data(), frame.payload.size(), deadline);
     if (!s.ok()) return s;
   }
-  s = VerifyFramePayload(header, out->payload);
+  s = VerifyFramePayload(header, frame.payload);
   if (!s.ok()) return s;
-  out->type = header.type;
-  out->version = header.version;
-  out->deadline_ms = header.deadline_ms;
-  out->trace_hi = header.trace_hi;
-  out->trace_lo = header.trace_lo;
-  return Status::Ok();
-}
-
-StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline) {
-  Frame frame;
-  Status s = ReadFrameInto(fd, deadline, &frame);
-  if (!s.ok()) return s;
+  frame.type = header.type;
+  frame.version = header.version;
+  frame.deadline_ms = header.deadline_ms;
+  frame.trace_hi = header.trace_hi;
+  frame.trace_lo = header.trace_lo;
   return frame;
 }
-
-StatusOr<Frame> ReadFrame(int fd) { return ReadFrame(fd, Deadline()); }
 
 // ---------------------------------------------------------------------------
 // Payload readers/writers

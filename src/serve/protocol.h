@@ -200,16 +200,6 @@ std::string EncodeFrame(MessageType type, std::string_view payload,
                         uint32_t version = kWireVersion,
                         uint64_t trace_hi = 0, uint64_t trace_lo = 0);
 
-/// Encodes just the frame header (prefix + extensions) for a payload
-/// that will be written separately. The checksum still covers the
-/// payload, so the caller must write exactly `payload` after these bytes —
-/// this is the writev seam: a pipelined channel scatter-writes header and
-/// payload without concatenating them into a fresh buffer first.
-std::string EncodeFrameHeader(MessageType type, std::string_view payload,
-                              uint64_t deadline_ms = 0,
-                              uint32_t version = kWireVersion,
-                              uint64_t trace_hi = 0, uint64_t trace_lo = 0);
-
 /// Validated frame header, plus the raw header bytes the checksum needs.
 struct FrameHeader {
   MessageType type = MessageType::kError;
@@ -251,30 +241,15 @@ Status VerifyFramePayload(const FrameHeader& header, std::string_view payload);
 /// with Corruption.
 StatusOr<Frame> DecodeFrame(std::string_view data);
 
-// Blocking frame I/O over a connected socket / pipe fd. ReadFrame rejects
-// malformed headers before reading the payload; both fail with IOError on
-// EOF / socket errors. The Deadline overloads poll the fd and fail with
-// DeadlineExceeded when the budget runs out mid-transfer; enforcing a
-// finite deadline requires the fd to be in non-blocking mode (TcpChannel
-// sets it).
-Status WriteFrame(int fd, MessageType type, std::string_view payload);
-StatusOr<Frame> ReadFrame(int fd);
+// Frame I/O over a connected socket fd. ReadFrame rejects malformed
+// headers before reading the payload; both fail with IOError on EOF /
+// socket errors, and poll the fd, failing with DeadlineExceeded when the
+// budget runs out mid-transfer — enforcing a finite deadline requires the
+// fd to be in non-blocking mode (TcpChannel and TcpServer set it).
 StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline);
-
-/// ReadFrame into a caller-owned Frame, reusing out->payload's capacity
-/// across calls — the receive-buffer reuse a pipelined channel needs to
-/// avoid one allocation per in-flight response.
-Status ReadFrameInto(int fd, const Deadline& deadline, Frame* out);
-
-/// Vectored (writev) write of a frame split as header + payload, retrying
-/// partial writes and EINTR under the deadline. `header` must have been
-/// produced by EncodeFrameHeader over this exact payload.
-Status WriteFrameVectored(int fd, std::string_view header,
-                          std::string_view payload, const Deadline& deadline);
 
 /// Writes all of `data` to `fd`, retrying partial writes and EINTR — the
 /// one short-write loop every frame producer shares.
-Status WriteAllBytes(int fd, const char* data, size_t size);
 Status WriteAllBytes(int fd, const char* data, size_t size,
                      const Deadline& deadline);
 
@@ -395,7 +370,7 @@ struct PointBatchRequestMsg {
 
 std::string EncodePointBatchRequest(const PointBatchRequestMsg& msg);
 /// Same frame payload built from already-encoded single-request payloads
-/// (the router coalesces pre-encoded requests without a decode/re-encode
+/// (the router batches pre-encoded requests without a decode/re-encode
 /// round trip).
 std::string EncodePointBatchRequestRaw(
     const std::vector<std::string>& encoded_entries);

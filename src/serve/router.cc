@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -27,8 +26,6 @@ struct RouterMetrics {
   MetricCounter* retries;
   MetricCounter* hedge_fired;
   MetricCounter* hedge_won;
-  MetricHistogram* coalesce_batch_fill;
-  MetricHistogram* coalesce_flush_wait_us;
 };
 
 RouterMetrics& Metrics() {
@@ -39,9 +36,6 @@ RouterMetrics& Metrics() {
     mm->retries = reg.Counter("router.retries");
     mm->hedge_fired = reg.Counter("router.hedge.fired");
     mm->hedge_won = reg.Counter("router.hedge.won");
-    mm->coalesce_batch_fill = reg.Histogram("router.coalesce.batch_fill");
-    mm->coalesce_flush_wait_us =
-        reg.Histogram("router.coalesce.flush_wait_us");
     return mm;
   }();
   return *m;
@@ -215,23 +209,7 @@ StatusOr<FleetRouter> FleetRouter::Connect(FleetManifest manifest,
   router.manifest_ = std::move(manifest);
   router.factory_ = factory;
   router.options_ = options;
-  if (router.options_.coalesce_window_us == 0) {
-    // CI's tsan lane (and operators chasing tail latency) force the
-    // coalescing path on without recompiling anything.
-    const char* env = std::getenv("HIPADS_COALESCE_WINDOW_US");
-    if (env != nullptr && *env != '\0') {
-      router.options_.coalesce_window_us = std::strtoull(env, nullptr, 10);
-    }
-  }
-  if (router.options_.coalesce_max_batch == 0) {
-    router.options_.coalesce_max_batch = 1;
-  }
-  if (router.options_.coalesce_max_batch > kMaxPointBatchEntries) {
-    router.options_.coalesce_max_batch =
-        static_cast<uint32_t>(kMaxPointBatchEntries);
-  }
   router.slots_.reserve(router.manifest_.servers.size());
-  router.batchers_.reserve(router.manifest_.servers.size());
   Deadline handshake_deadline = router.EffectiveDeadline(Deadline());
   for (size_t i = 0; i < router.manifest_.servers.size(); ++i) {
     const FleetEntry& entry = router.manifest_.servers[i];
@@ -241,18 +219,7 @@ StatusOr<FleetRouter> FleetRouter::Connect(FleetManifest manifest,
                              " is unreachable: " +
                              channel.status().ToString());
     }
-    auto slot = std::make_unique<ServerSlot>();
-    // slot->channel is guarded by slot->mu. Connect used to write it bare
-    // — benign only while nothing serves during construction, a latent
-    // race once fleets reconnect concurrently (and a -Wthread-safety
-    // error either way). Hold the lock for the install + handshake.
-    std::shared_ptr<Channel> handshake_channel;
-    {
-      MutexLock lock(slot->mu);
-      slot->channel = std::shared_ptr<Channel>(std::move(channel).value());
-      handshake_channel = slot->channel;
-    }
-    AdsClient client(handshake_channel.get(), handshake_deadline);
+    AdsClient client(channel.value().get(), handshake_deadline);
     auto info = client.Info();
     if (!info.ok()) {
       return Status::IOError("fleet server " + entry.address +
@@ -281,8 +248,9 @@ StatusOr<FleetRouter> FleetRouter::Connect(FleetManifest manifest,
           " disagrees on sketch parameters (k/flavor/rank sup)");
     }
     router.total_entries_ += reported.total_entries;
-    router.slots_.push_back(std::move(slot));
-    router.batchers_.push_back(std::make_unique<PointBatcher>());
+    // The handshake connection seeds the server's pool.
+    router.slots_.push_back(std::make_unique<ServerSlot>());
+    router.CheckIn(i, std::move(channel).value());
   }
   return router;
 }
@@ -292,27 +260,32 @@ Deadline FleetRouter::EffectiveDeadline(const Deadline& deadline) const {
   return Deadline::Min(deadline, Deadline::AfterMs(options_.timeout_ms));
 }
 
-StatusOr<std::shared_ptr<Channel>> FleetRouter::ChannelFor(size_t idx) {
+StatusOr<std::unique_ptr<Channel>> FleetRouter::CheckOut(size_t idx) {
   ServerSlot& slot = *slots_[idx];
-  MutexLock lock(slot.mu);
-  if (!slot.channel) {
-    auto created = factory_(manifest_.servers[idx].address);
-    if (!created.ok()) {
-      return WithMessage(created.status(),
-                         "cannot reconnect to fleet server " +
-                             manifest_.servers[idx].address + ": " +
-                             created.status().message());
+  {
+    MutexLock lock(slot.mu);
+    if (!slot.idle.empty()) {
+      std::unique_ptr<Channel> channel = std::move(slot.idle.back());
+      slot.idle.pop_back();
+      return channel;
     }
-    slot.channel = std::shared_ptr<Channel>(std::move(created).value());
   }
-  return slot.channel;
+  // Connect outside the lock: a slow connect must not hold up calls that
+  // could take a channel another call is about to check in.
+  auto created = factory_(manifest_.servers[idx].address);
+  if (!created.ok()) {
+    return WithMessage(created.status(),
+                       "cannot connect to fleet server " +
+                           manifest_.servers[idx].address + ": " +
+                           created.status().message());
+  }
+  return created;
 }
 
-void FleetRouter::InvalidateChannel(size_t idx,
-                                    const std::shared_ptr<Channel>& bad) {
+void FleetRouter::CheckIn(size_t idx, std::unique_ptr<Channel> channel) {
   ServerSlot& slot = *slots_[idx];
   MutexLock lock(slot.mu);
-  if (slot.channel == bad) slot.channel.reset();
+  slot.idle.push_back(std::move(channel));
 }
 
 StatusOr<Frame> FleetRouter::CallServer(size_t idx, MessageType type,
@@ -348,7 +321,7 @@ StatusOr<Frame> FleetRouter::CallServer(size_t idx, MessageType type,
           "fleet server " + address + ": deadline expired after " +
           std::to_string(attempt) + " attempt(s): " + last.message());
     }
-    auto channel = ChannelFor(idx);
+    auto channel = CheckOut(idx);
     if (!channel.ok()) {
       CountServerError(address);
       last = channel.status();
@@ -359,14 +332,28 @@ StatusOr<Frame> FleetRouter::CallServer(size_t idx, MessageType type,
     Status s = channel.value()->Call(
         EncodeDownstreamFrame(type, payload, deadline), &frame, deadline);
     if (!s.ok()) {
-      // The connection is suspect (half-written frame, dead socket):
-      // drop it so the next attempt starts on a fresh one.
-      InvalidateChannel(idx, channel.value());
+      // The connection is suspect (half-written frame, dead socket) and
+      // is dropped here. So are the server's idle ones: when the server
+      // went away they are just as dead, and the next attempt must
+      // reconnect rather than spend itself on another stale socket.
+      {
+        ServerSlot& slot = *slots_[idx];
+        MutexLock lock(slot.mu);
+        slot.idle.clear();
+      }
       CountServerError(address);
       last = s;
       if (Retryable(s)) continue;
       return WithMessage(s, "fleet server " + address + ": " + s.message());
     }
+    if (frame.type != MessageType::kError && frame.type != expected_response) {
+      CountServerError(address);
+      return Status::Corruption("fleet server " + address +
+                                ": unexpected response frame type");
+    }
+    // A well-formed answer, error frames included: the connection is in
+    // sync and goes back to the pool.
+    CheckIn(idx, std::move(channel).value());
     if (frame.type == MessageType::kError) {
       Status err = DecodeError(frame.payload);
       if (Retryable(err)) {  // e.g. a shed point lookup: retry after backoff
@@ -376,12 +363,6 @@ StatusOr<Frame> FleetRouter::CallServer(size_t idx, MessageType type,
       }
       return err;  // semantic errors pass through as the server sent them
     }
-    if (frame.type != expected_response) {
-      InvalidateChannel(idx, channel.value());
-      CountServerError(address);
-      return Status::Corruption("fleet server " + address +
-                                ": unexpected response frame type");
-    }
     return frame;
   }
   return WithMessage(last, "fleet server " + address + " failed after " +
@@ -389,161 +370,16 @@ StatusOr<Frame> FleetRouter::CallServer(size_t idx, MessageType type,
                                " attempt(s): " + last.message());
 }
 
-StatusOr<Frame> FleetRouter::HedgeAttempt(size_t idx,
-                                          const std::string& payload,
-                                          const Deadline& deadline) {
-  // Deliberately NOT the slot channel: the point of the hedge is to route
-  // around whatever is wrong with the established connection.
-  auto channel = factory_(manifest_.servers[idx].address);
-  if (!channel.ok()) return channel.status();
-  Frame frame;
-  Status s = channel.value()->Call(
-      EncodeDownstreamFrame(MessageType::kPointRequest, payload, deadline),
-      &frame, deadline);
-  if (!s.ok()) return s;
-  if (frame.type == MessageType::kError) return DecodeError(frame.payload);
-  if (frame.type != MessageType::kPointResponse) {
-    return Status::Corruption("unexpected response frame type");
-  }
-  return frame;
-}
-
-void FleetRouter::ExecuteCoalescedBatch(
-    size_t idx, const std::vector<PendingPoint*>& batch) {
-  PointBatcher& batcher = *batchers_[idx];
-  Metrics().coalesce_batch_fill->Record(batch.size());
-  if (batch.size() == 1) {
-    // No follower showed up inside the window: exactly the plain single
-    // call, no batch frame on the wire.
-    auto result =
-        CallServer(idx, MessageType::kPointRequest, *batch[0]->payload,
-                   MessageType::kPointResponse, batch[0]->deadline);
-    MutexLock lock(batcher.mu);
-    batch[0]->result = std::move(result);
-    batch[0]->done = true;
-    batcher.cv.NotifyAll();
-    return;
-  }
-  // The batch is bounded by the tightest member deadline; a member whose
-  // own budget is looser falls back to a single call if that tight bound
-  // fails the whole frame.
-  Deadline batch_deadline;
-  std::vector<std::string> encoded;
-  encoded.reserve(batch.size());
-  for (const PendingPoint* p : batch) {
-    batch_deadline = Deadline::Min(batch_deadline, p->deadline);
-    encoded.push_back(*p->payload);
-  }
-  auto frame =
-      CallServer(idx, MessageType::kPointBatchRequest,
-                 EncodePointBatchRequestRaw(encoded),
-                 MessageType::kPointBatchResponse, batch_deadline);
-  StatusOr<PointBatchResponseMsg> decoded =
-      frame.ok() ? DecodePointBatchResponse(frame.value().payload)
-                 : frame.status();
-  MutexLock lock(batcher.mu);
-  if (!decoded.ok() || decoded.value().entries.size() != batch.size()) {
-    // Whole-batch failure (transport, protocol, count mismatch): every
-    // member re-runs its own single call — the batch was an optimization,
-    // never a change to any caller's contract.
-    Status failure =
-        decoded.ok()
-            ? Status::Corruption(
-                  "batch response entry count does not match the request")
-            : decoded.status();
-    for (PendingPoint* p : batch) {
-      p->result = failure;
-      p->retry_single = true;
-      p->done = true;
-    }
-  } else {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      PointBatchResponseEntry& entry = decoded.value().entries[i];
-      if (entry.status.ok()) {
-        batch[i]->result =
-            Frame{MessageType::kPointResponse, std::move(entry.payload)};
-      } else {
-        // A shed/retryable entry goes back through the caller's own
-        // single-request retry policy; semantic errors are final and
-        // byte-identical to the unbatched answer.
-        batch[i]->result = entry.status;
-        batch[i]->retry_single = Retryable(entry.status);
-      }
-      batch[i]->done = true;
-    }
-  }
-  batcher.cv.NotifyAll();
-}
-
-StatusOr<Frame> FleetRouter::CallPointCoalesced(size_t idx,
-                                                const std::string& payload,
-                                                const Deadline& deadline) {
-  PointBatcher& batcher = *batchers_[idx];
-  const size_t batch_limit = options_.coalesce_max_batch;
-  PendingPoint me;
-  me.payload = &payload;
-  me.deadline = deadline;
-  bool leader = false;
-  std::vector<PendingPoint*> batch;
-  {
-    MutexLock lock(batcher.mu);
-    if (!batcher.leader_active) {
-      batcher.leader_active = true;
-      leader = true;
-    }
-    batcher.queue.push_back(&me);
-    if (leader) {
-      // Collect followers for the flush window — or until the batch is
-      // full, whichever comes first.
-      auto flush_at =
-          Deadline::Clock::now() +
-          std::chrono::microseconds(options_.coalesce_window_us);
-      {
-        ScopedLatencyTimer wait_timer(Metrics().coalesce_flush_wait_us);
-        while (batcher.queue.size() < batch_limit) {
-          if (batcher.cv.WaitUntil(batcher.mu, flush_at) ==
-              std::cv_status::timeout) {
-            break;
-          }
-        }
-      }
-      batch = std::move(batcher.queue);
-      batcher.queue.clear();
-      // Release leadership at swap time: the next arrival starts a new
-      // batch while this one is on the wire.
-      batcher.leader_active = false;
-    } else {
-      if (batcher.queue.size() >= batch_limit) batcher.cv.NotifyAll();
-      // Safe to wait unboundedly: the leader always distributes — its
-      // batch call is bounded by the members' minimum deadline, which
-      // includes ours.
-      while (!me.done) batcher.cv.Wait(batcher.mu);
-    }
-  }
-  if (leader) {
-    ExecuteCoalescedBatch(idx, batch);
-    MutexLock lock(batcher.mu);  // me.result was written under it
-    if (!me.retry_single) return std::move(me.result);
-  } else if (!me.retry_single) {
-    return std::move(me.result);
-  }
-  // Fallback: the caller's own single-request call, full retry policy —
-  // semantics identical to never having coalesced.
-  return CallServer(idx, MessageType::kPointRequest, payload,
-                    MessageType::kPointResponse, deadline);
-}
-
 StatusOr<Frame> FleetRouter::CallPoint(size_t idx, const std::string& payload,
                                        const Deadline& deadline) {
-  if (!options_.hedge) {
-    if (options_.coalesce_window_us > 0) {
-      return CallPointCoalesced(idx, payload, deadline);
-    }
+  auto call = [&] {
     return CallServer(idx, MessageType::kPointRequest, payload,
                       MessageType::kPointResponse, deadline);
-  }
-  // Hedged: the primary call (full retry policy) races a delayed fresh-
-  // connection attempt. Both compute identical bytes, so whichever
+  };
+  if (!options_.hedge) return call();
+  // Hedged: the primary call races a delayed second call. The primary's
+  // channel stays checked out while it runs, so the hedge always talks
+  // on another connection. Both compute identical bytes, so whichever
   // succeeds is THE answer; the loser is joined (its cost is bounded by
   // the deadline) and discarded.
   Mutex mu;
@@ -551,8 +387,7 @@ StatusOr<Frame> FleetRouter::CallPoint(size_t idx, const std::string& payload,
   bool primary_done = false;
   StatusOr<Frame> primary_result = Status::Unavailable("pending");
   std::thread primary([&] {
-    auto result = CallServer(idx, MessageType::kPointRequest, payload,
-                             MessageType::kPointResponse, deadline);
+    auto result = call();
     MutexLock lock(mu);
     primary_result = std::move(result);
     primary_done = true;
@@ -571,15 +406,16 @@ StatusOr<Frame> FleetRouter::CallPoint(size_t idx, const std::string& payload,
   StatusOr<Frame> hedge_result = Status::Unavailable("hedge not fired");
   if (fire_hedge) {
     Metrics().hedge_fired->Add();
-    hedge_result = HedgeAttempt(idx, payload, deadline);
+    hedge_result = call();
   }
   primary.join();
   if (hedge_result.ok()) {
     Metrics().hedge_won->Add();
     return hedge_result;
   }
-  if (primary_result.ok()) return primary_result;
-  return primary_result;  // primary error: it carries the server's address
+  // The primary's answer, or its error: that one carries the server's
+  // address.
+  return primary_result;
 }
 
 StatusOr<size_t> FleetRouter::OwnerOf(uint64_t v) const {

@@ -18,7 +18,11 @@
 // FleetRouter connects to every server (any Channel transport: TCP for a
 // real fleet, loopback for deterministic tests/benches), validates that
 // the fleet's reported ranges and sketch parameters are coherent, and then
-// serves the two request families:
+// serves the two request families. Every in-flight call to a server owns
+// one connection from that server's pool of idle channels (opened on
+// demand, returned after any well-formed answer, dropped with the
+// server's idle ones on a transport failure), so a point lookup never
+// queues behind a sweep on a shared socket:
 //
 //   * Sweeps — scatter: the serialized SweepPlan goes to every range
 //     server concurrently; each runs ONE fused pass over its backend
@@ -100,14 +104,15 @@ struct RouterOptions {
   /// Transport-failure retry budget per request: total attempts are
   /// retries + 1. Only transport-shaped failures (IOError, Unavailable —
   /// dead connections, shed lookups) are retried; semantic errors and
-  /// expired deadlines never are. Each retry reconnects the server's
-  /// channel.
+  /// expired deadlines never are. A transport failure drops the failed
+  /// channel and the server's idle ones, so a retry reconnects.
   uint32_t retries = 1;
   /// Hedge point requests: if the owner has not answered within
-  /// hedge_delay_ms, race a second attempt over a FRESH connection to the
-  /// same server and take whichever succeeds first. Ranges tile the node
-  /// space uniquely, so the hedge targets the same owner — it defeats a
-  /// stalled connection or a wedged worker thread, not a dead process.
+  /// hedge_delay_ms, race a second attempt to the same server — on its
+  /// own pooled connection, never the primary's — and take whichever
+  /// succeeds first. Ranges tile the node space uniquely, so the hedge
+  /// targets the same owner — it defeats a stalled connection or a wedged
+  /// worker thread, not a dead process.
   /// Both attempts compute the same bytes, so the winner is
   /// indistinguishable from an unhedged call.
   bool hedge = false;
@@ -119,21 +124,6 @@ struct RouterOptions {
   uint64_t backoff_base_ms = 10;
   uint64_t backoff_max_ms = 1000;
   uint64_t backoff_seed = 0;
-  /// Same-server point-request coalescing across concurrent callers: with
-  /// a window > 0 (and hedging off — the two policies are mutually
-  /// exclusive), the first caller bound for a server becomes the batch
-  /// leader, collects followers for up to this many microseconds (or until
-  /// the batch is full), and sends ONE kPointBatchRequest; per-entry
-  /// results are handed back to each caller in arrival order. Answers are
-  /// bitwise identical to uncoalesced calls; a caller whose entry comes
-  /// back shed/failed falls back to its own single-request call, so the
-  /// retry contract is unchanged. 0 disables coalescing. When 0, the
-  /// HIPADS_COALESCE_WINDOW_US environment variable (read at Connect)
-  /// supplies the window — CI forces the flush path on with it.
-  uint64_t coalesce_window_us = 0;
-  /// Entries per coalesced batch frame (clamped to
-  /// kMaxPointBatchEntries); a full batch flushes before the window ends.
-  uint32_t coalesce_max_batch = 64;
 };
 
 /// A connected fleet. Movable, not copyable.
@@ -146,8 +136,9 @@ class FleetRouter {
   /// server's reported range must equal its manifest range, and every
   /// server must agree on k, flavor and rank sup. A dead or mismatched
   /// server fails the whole fleet here, before any query runs. The
-  /// factory is retained for reconnects: a channel that fails a request
-  /// is dropped and re-opened (with backoff) on the next attempt.
+  /// factory is retained: it opens a server's further connections
+  /// whenever its pool has no idle one (concurrent calls, reconnects
+  /// after a dropped channel).
   static StatusOr<FleetRouter> Connect(FleetManifest manifest,
                                        const ChannelFactory& factory,
                                        const RouterOptions& options = {});
@@ -207,40 +198,11 @@ class FleetRouter {
                                    const Deadline& deadline = Deadline());
 
  private:
-  /// A fleet member's mutable connection state. The channel is held as a
-  /// shared_ptr snapshot: requests copy the pointer under the slot mutex
-  /// and call outside it, so one slow request never blocks another from
-  /// reconnecting — it just ends up talking on a channel that has already
-  /// been replaced (harmless: the call fails or succeeds on its own).
+  /// A fleet member's idle connections. A call checks one out for its
+  /// whole exchange, so no two calls ever share a channel.
   struct ServerSlot {
     Mutex mu;
-    std::shared_ptr<Channel> channel HIPADS_GUARDED_BY(mu);
-  };
-
-  /// One caller's parked request inside a coalescing batch. Lives on the
-  /// caller's stack; the leader writes result/done under the batcher mutex
-  /// and the caller reads them back under it, so no field outlives its
-  /// caller's wait.
-  struct PendingPoint {
-    const std::string* payload = nullptr;  // encoded single point request
-    Deadline deadline;
-    StatusOr<Frame> result{Status::Unavailable("coalesced call pending")};
-    bool done = false;
-    /// Set when the batched answer was transport-shaped (whole-batch
-    /// failure or a retryable per-entry status): the caller re-runs its
-    /// own single-request CallServer, preserving the uncoalesced retry
-    /// contract exactly.
-    bool retry_single = false;
-  };
-
-  /// Per-server coalescing state (leader/follower): the first caller to
-  /// find no active leader becomes one, collects the queue for the flush
-  /// window, and carries everyone's requests in one batch frame.
-  struct PointBatcher {
-    Mutex mu;
-    CondVar cv;
-    std::vector<PendingPoint*> queue HIPADS_GUARDED_BY(mu);
-    bool leader_active HIPADS_GUARDED_BY(mu) = false;
+    std::vector<std::unique_ptr<Channel>> idle HIPADS_GUARDED_BY(mu);
   };
 
   /// Index of the fleet entry owning global node v, or an error.
@@ -250,12 +212,10 @@ class FleetRouter {
 
   /// The caller's deadline tightened by the router's default timeout.
   Deadline EffectiveDeadline(const Deadline& deadline) const;
-  /// Current (or freshly reconnected) channel of server `idx`.
-  StatusOr<std::shared_ptr<Channel>> ChannelFor(size_t idx);
-  /// Drops a failed channel so the next attempt reconnects — only if the
-  /// slot still holds this exact channel (a racing request may already
-  /// have replaced it).
-  void InvalidateChannel(size_t idx, const std::shared_ptr<Channel>& bad);
+  /// An idle pooled channel of server `idx`, or a freshly opened one.
+  StatusOr<std::unique_ptr<Channel>> CheckOut(size_t idx);
+  /// Returns a channel whose last call ended in a well-formed frame.
+  void CheckIn(size_t idx, std::unique_ptr<Channel> channel);
   /// One request to server `idx` with the full retry/backoff/reconnect
   /// policy. Transport errors come back naming the server's address.
   StatusOr<Frame> CallServer(size_t idx, MessageType type,
@@ -265,22 +225,9 @@ class FleetRouter {
   /// A point call with the hedging race layered on top of CallServer.
   StatusOr<Frame> CallPoint(size_t idx, const std::string& payload,
                             const Deadline& deadline);
-  /// The single-shot fresh-connection attempt a hedge runs.
-  StatusOr<Frame> HedgeAttempt(size_t idx, const std::string& payload,
-                               const Deadline& deadline);
-  /// The coalescing point path (coalesce_window_us > 0, hedge off): joins
-  /// or leads the server's batch, then waits for its entry's answer.
-  StatusOr<Frame> CallPointCoalesced(size_t idx, const std::string& payload,
-                                     const Deadline& deadline);
-  /// Leader side: sends one batch frame carrying every queued request
-  /// (deadline = the members' minimum) and distributes per-entry results.
-  /// A one-entry batch degenerates to the plain single-request call.
-  void ExecuteCoalescedBatch(size_t idx,
-                             const std::vector<PendingPoint*>& batch);
 
   FleetManifest manifest_;
   std::vector<std::unique_ptr<ServerSlot>> slots_;  // parallel to servers
-  std::vector<std::unique_ptr<PointBatcher>> batchers_;  // parallel to servers
   ChannelFactory factory_;
   RouterOptions options_;
   uint64_t total_entries_ = 0;

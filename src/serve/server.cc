@@ -7,10 +7,10 @@
 
 #include <arpa/inet.h>
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -559,28 +559,27 @@ StatusOr<Frame> AdsServerCore::HandleSweep(const SweepRequestMsg& msg,
 // ---------------------------------------------------------------------------
 
 TcpServer::TcpServer(FrameHandler* handler, const TcpServerOptions& options)
-    : handler_(handler), options_(options) {
-  stop_pipe_[0] = stop_pipe_[1] = -1;
-}
+    : handler_(handler), options_(options) {}
 
 TcpServer::~TcpServer() { Stop(); }
 
 Status TcpServer::Start() {
   if (listen_fd_ >= 0) return Status::InvalidArgument("server already started");
-  if (::pipe(stop_pipe_) != 0) {
-    return Status::IOError("pipe failed: " + std::string(std::strerror(errno)));
-  }
-  auto fail = [this](const std::string& what, int fd) {
+  int fd = -1;
+  auto fail = [&](const std::string& what) {
     Status s = Status::IOError(what + " failed: " +
                                std::string(std::strerror(errno)));
-    if (fd >= 0) ::close(fd);
-    ::close(stop_pipe_[0]);
-    ::close(stop_pipe_[1]);
-    stop_pipe_[0] = stop_pipe_[1] = -1;
+    for (int* owned : {&fd, &epoll_fd_, &stop_pipe_[0], &stop_pipe_[1]}) {
+      if (*owned >= 0) ::close(*owned);
+      *owned = -1;
+    }
     return s;
   };
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return fail("socket", -1);
+  if (::pipe(stop_pipe_) != 0) return fail("pipe");
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return fail("epoll_create1");
+  fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return fail("socket");
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
@@ -588,20 +587,27 @@ Status TcpServer::Start() {
   addr.sin_addr.s_addr = htonl(INADDR_ANY);
   addr.sin_port = htons(options_.port);
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    return fail("bind", fd);
+    return fail("bind");
   }
   socklen_t len = sizeof(addr);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    return fail("getsockname", fd);
+    return fail("getsockname");
+  }
+  if (::listen(fd, 128) != 0) return fail("listen");
+  // The stop pipe is level-triggered and never drained, so once Stop
+  // writes it every worker's epoll_wait returns it. The listener is
+  // one-shot like every connection: one worker accepts, then re-arms it.
+  epoll_event stop{};
+  stop.events = EPOLLIN;
+  stop.data.fd = stop_pipe_[0];
+  epoll_event listener{};
+  listener.events = EPOLLIN | EPOLLONESHOT;
+  listener.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stop_pipe_[0], &stop) != 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &listener) != 0) {
+    return fail("epoll_ctl");
   }
   port_ = ntohs(addr.sin_port);
-  if (::listen(fd, 128) != 0) {
-    return fail("listen", fd);
-  }
-  // Non-blocking listener: workers are woken by poll, so a connection
-  // grabbed by a sibling worker yields EAGAIN instead of blocking forever.
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   listen_fd_ = fd;
   uint32_t workers = options_.num_workers == 0 ? 1 : options_.num_workers;
   workers_.reserve(workers);
@@ -613,57 +619,102 @@ Status TcpServer::Start() {
 
 void TcpServer::Stop() {
   if (listen_fd_ < 0) return;
-  // Wake every worker out of poll; they observe the stop pipe and exit.
+  // Wake every worker out of epoll_wait (and out of any mid-frame poll);
+  // they observe the stop pipe and exit.
   char byte = 's';
   [[maybe_unused]] ssize_t ignored = ::write(stop_pipe_[1], &byte, 1);
   for (std::thread& t : workers_) t.join();
   workers_.clear();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  ::close(stop_pipe_[0]);
-  ::close(stop_pipe_[1]);
-  stop_pipe_[0] = stop_pipe_[1] = -1;
+  {
+    MutexLock lock(conns_mu_);
+    for (int fd : conns_) ::close(fd);
+    conns_.clear();
+  }
+  for (int* owned :
+       {&listen_fd_, &epoll_fd_, &stop_pipe_[0], &stop_pipe_[1]}) {
+    ::close(*owned);
+    *owned = -1;
+  }
 }
 
 void TcpServer::WorkerLoop() {
+  // Pause after an accept error an immediate retry cannot fix (out of
+  // file descriptors or buffers): the listener stays readable, so
+  // re-arming at once would spin.
+  constexpr int kAcceptBackoffMs = 50;
   for (;;) {
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {stop_pipe_[0], POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
+    epoll_event ev{};
+    int n = ::epoll_wait(epoll_fd_, &ev, 1, -1);
+    if (n < 0) {
       if (errno == EINTR) continue;
       return;
     }
-    if (fds[1].revents != 0) return;  // stop requested
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
-          errno == ECONNABORTED) {
-        continue;  // a sibling worker won the race
+    const int fd = ev.data.fd;
+    if (fd == stop_pipe_[0]) return;  // stop requested
+    if (fd == listen_fd_) {
+      if (!AcceptPending()) {
+        pollfd stop{stop_pipe_[0], POLLIN, 0};
+        if (::poll(&stop, 1, kAcceptBackoffMs) > 0) return;
       }
-      return;
+      Arm(listen_fd_);
+      continue;
     }
-    Metrics().tcp_accepted->Add();
+    if (!ServeFrame(fd) || !Arm(fd)) CloseConnection(fd);
+  }
+}
+
+bool TcpServer::Arm(int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.fd = fd;
+  // Under conns_mu_, like the close in CloseConnection: the sibling that
+  // takes the re-armed event and then closes the fd is ordered after this
+  // call by the lock (ThreadSanitizer sees no release in EPOLL_CTL_MOD).
+  MutexLock lock(conns_mu_);
+  return ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) == 0;
+}
+
+bool TcpServer::AcceptPending() {
+  for (;;) {
     // Non-blocking connection fd: reads poll first, and response writes
     // can be bounded by the mid-frame deadline instead of parking in the
     // kernel against a stalled peer.
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                       SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return errno == EAGAIN || errno == EWOULDBLOCK;
+    }
+    Metrics().tcp_accepted->Add();
     if (options_.nodelay) {
       // Responses are single complete frames; without this, Nagle holds
       // the final short segment hostage to the peer's delayed ACK.
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
-    ServeConnection(fd);
-    ::close(fd);
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLONESHOT;
+    ev.data.fd = fd;
+    MutexLock lock(conns_mu_);
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      ::close(fd);
+      continue;
+    }
+    conns_.insert(fd);
   }
+}
+
+void TcpServer::CloseConnection(int fd) {
+  // Erase and close under the lock: a sibling accepting the reused fd
+  // number must find it absent from conns_.
+  MutexLock lock(conns_mu_);
+  conns_.erase(fd);
+  ::close(fd);
 }
 
 bool TcpServer::WaitReadable(int fd, const Deadline& deadline) {
   // Blocks until `fd` has data (or EOF) — or until Stop signals or the
-  // deadline passes, so a worker parked on an idle connection never
+  // deadline passes, so a worker waiting for the rest of a frame never
   // wedges shutdown and a mid-frame stall costs bounded time.
   for (;;) {
     int timeout = -1;
@@ -689,82 +740,79 @@ bool TcpServer::WaitReadable(int fd, const Deadline& deadline) {
   }
 }
 
-void TcpServer::ServeConnection(int fd) {
-  // Frame-by-frame pump. A handler-reported framing loss, any socket
-  // error, or a mid-frame stall past idle_timeout_ms ends the connection;
-  // the next client simply reconnects.
+bool TcpServer::ServeFrame(int fd) {
+  // A handler-reported framing loss, any socket error, or a mid-frame
+  // stall past idle_timeout_ms ends the connection; the next client
+  // simply reconnects.
   //
-  // Returns 1 when exactly n bytes were read, 0 on clean EOF at a frame
-  // boundary (nothing read yet), -1 on error / stop / deadline. Arms the
-  // per-frame deadline when the frame's first byte arrives.
-  auto read_exact = [&](char* buf, size_t n, Deadline* frame_deadline,
-                        bool at_frame_start) -> int {
+  // read_exact returns 1 when exactly n bytes were read, 0 on clean EOF
+  // at a frame boundary, 2 when no byte of a new frame is there after all
+  // (the connection goes back to the epoll set), -1 on error / stop /
+  // deadline. Arms the frame deadline when the frame's first byte arrives.
+  Deadline frame_deadline;
+  auto read_exact = [&](char* buf, size_t n, bool at_frame_start) -> int {
     size_t done = 0;
     while (done < n) {
-      if (!WaitReadable(fd, *frame_deadline)) return -1;
       ssize_t got = ::read(fd, buf + done, n - done);
       if (got == 0) return (at_frame_start && done == 0) ? 0 : -1;
       if (got < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-          continue;
-        }
-        return -1;
+        if (errno == EINTR) continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) return -1;
+        if (at_frame_start && done == 0) return 2;
+        if (!WaitReadable(fd, frame_deadline)) return -1;
+        continue;
       }
       if (at_frame_start && done == 0 && options_.idle_timeout_ms > 0) {
-        *frame_deadline = Deadline::AfterMs(options_.idle_timeout_ms);
+        frame_deadline = Deadline::AfterMs(options_.idle_timeout_ms);
       }
       done += static_cast<size_t>(got);
     }
     return 1;
   };
 
-  for (;;) {
-    char raw[kMaxFrameHeaderBytes];
-    Deadline frame_deadline;  // armed once the frame's first byte arrives
-    int rc = read_exact(raw, kFrameHeaderBytes, &frame_deadline,
-                        /*at_frame_start=*/true);
-    if (rc <= 0) return;  // clean EOF between frames, or failure
+  char raw[kMaxFrameHeaderBytes];
+  int rc = read_exact(raw, kFrameHeaderBytes, /*at_frame_start=*/true);
+  if (rc != 1) return rc == 2;  // nothing to serve, EOF, or failure
 
-    FrameHeader header;
-    std::string request;
-    size_t header_bytes = kFrameHeaderBytes;
-    Status s = DecodeFrameHeaderPrefix(raw, kFrameHeaderBytes, &header);
-    if (s.ok() && header.header_bytes > kFrameHeaderBytes) {
-      // v2 frame: the prefix promises extension bytes (the deadline).
-      size_t ext = header.header_bytes - kFrameHeaderBytes;
-      if (read_exact(raw + kFrameHeaderBytes, ext, &frame_deadline,
-                     /*at_frame_start=*/false) != 1) {
-        return;
-      }
-      header_bytes = header.header_bytes;
-      s = DecodeFrameHeaderExt(raw + kFrameHeaderBytes, ext, &header);
+  FrameHeader header;
+  std::string request;
+  size_t header_bytes = kFrameHeaderBytes;
+  Status s = DecodeFrameHeaderPrefix(raw, kFrameHeaderBytes, &header);
+  if (s.ok() && header.header_bytes > kFrameHeaderBytes) {
+    // v2+ frame: the prefix promises extension bytes (the deadline).
+    size_t ext = header.header_bytes - kFrameHeaderBytes;
+    if (read_exact(raw + kFrameHeaderBytes, ext,
+                   /*at_frame_start=*/false) != 1) {
+      return false;
     }
-    if (s.ok()) {
-      // Header is sane: the payload length can be trusted enough to read.
-      std::string payload(header.payload_bytes, '\0');
-      if (!payload.empty() &&
-          read_exact(payload.data(), payload.size(), &frame_deadline,
-                     /*at_frame_start=*/false) != 1) {
-        return;
-      }
-      request.assign(raw, header_bytes);
-      request.append(payload);
-    } else {
-      // Bad header: hand the raw bytes to the handler so the client gets
-      // the precise rejection, then close (framing is lost).
-      request.assign(raw, header_bytes);
-    }
-    bool close_connection = false;
-    std::string response = handler_->HandleFrame(request, &close_connection);
-    Deadline write_deadline = options_.idle_timeout_ms > 0
-                                  ? Deadline::AfterMs(options_.idle_timeout_ms)
-                                  : Deadline();
-    if (!WriteAllBytes(fd, response.data(), response.size(), write_deadline)
-             .ok()) {
-      return;
-    }
-    if (close_connection) return;
+    header_bytes = header.header_bytes;
+    s = DecodeFrameHeaderExt(raw + kFrameHeaderBytes, ext, &header);
   }
+  if (s.ok()) {
+    // Header is sane: the payload length can be trusted enough to read.
+    std::string payload(header.payload_bytes, '\0');
+    if (!payload.empty() &&
+        read_exact(payload.data(), payload.size(),
+                   /*at_frame_start=*/false) != 1) {
+      return false;
+    }
+    request.assign(raw, header_bytes);
+    request.append(payload);
+  } else {
+    // Bad header: hand the raw bytes to the handler so the client gets
+    // the precise rejection, then close (framing is lost).
+    request.assign(raw, header_bytes);
+  }
+  bool close_connection = false;
+  std::string response = handler_->HandleFrame(request, &close_connection);
+  Deadline write_deadline = options_.idle_timeout_ms > 0
+                                ? Deadline::AfterMs(options_.idle_timeout_ms)
+                                : Deadline();
+  if (!WriteAllBytes(fd, response.data(), response.size(), write_deadline)
+           .ok()) {
+    return false;
+  }
+  return !close_connection;
 }
 
 }  // namespace hipads

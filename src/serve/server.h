@@ -10,8 +10,10 @@
 //                  transport, the fuzz suite and the TCP server all share,
 //                  so the full protocol surface is testable deterministically
 //                  without a socket in sight.
-//   TcpServer      a thread-pooled TCP front end: N worker threads accept
-//                  connections and pump frames through a FrameHandler.
+//   TcpServer      a thread-pooled TCP front end: N worker threads share
+//                  one epoll set holding the listener and every idle
+//                  connection, and each takes one ready frame at a time
+//                  through a FrameHandler.
 //
 // Concurrency: every backend's reads are immutable (ads/backend.h), so the
 // core runs LOCK-FREE: any number of point lookups and whole-range sweeps
@@ -38,6 +40,7 @@
 #include <list>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -197,14 +200,15 @@ class AdsServerCore : public FrameHandler {
 struct TcpServerOptions {
   /// Port to bind (0 = ephemeral; read the chosen one back via port()).
   uint16_t port = 0;
-  /// Concurrent connections served (worker threads accepting on the shared
-  /// listening socket); further connections wait in the listen backlog.
+  /// Worker threads, which bound the frames in flight: a worker is held
+  /// only while it reads, handles and answers one frame, so any number of
+  /// connections (idle ones included) share them.
   uint32_t num_workers = 4;
   /// Mid-frame stall bound: once the first byte of a frame has arrived,
   /// the rest of it (and the response write) must complete within this
   /// budget or the connection is dropped — a client stalled mid-frame
   /// (or a slow-loris) cannot pin a worker forever. Idle time BETWEEN
-  /// frames stays unbounded. 0 = no bound.
+  /// frames stays unbounded and holds no worker. 0 = no bound.
   uint64_t idle_timeout_ms = 0;
   /// TCP_NODELAY on accepted connections. Responses are single complete
   /// frames — Nagle only adds a stall before the final short segment — so
@@ -214,9 +218,13 @@ struct TcpServerOptions {
 };
 
 /// Thread-pooled TCP transport around a FrameHandler. Start() binds and
-/// spawns the workers; Stop() (or destruction) shuts the listener down and
-/// joins them. Connections are served frame-by-frame until the peer closes
-/// or a handler reports loss of framing.
+/// spawns the workers; Stop() (or destruction) shuts the listener down,
+/// joins them and closes every connection. Workers hand out frames, not
+/// connections: each waits on one shared epoll set in which the listener
+/// and every idle connection are armed one-shot, so a ready connection
+/// wakes exactly one worker. That worker serves one frame, then re-arms
+/// the connection — one frame at a time per connection, answered in
+/// order — until the peer closes or a handler reports loss of framing.
 class TcpServer {
  public:
   TcpServer(FrameHandler* handler, const TcpServerOptions& options);
@@ -233,16 +241,27 @@ class TcpServer {
 
  private:
   void WorkerLoop();
-  void ServeConnection(int fd);
+  /// Accepts every pending connection into the epoll set. False on an
+  /// accept error that an immediate retry cannot fix (EMFILE, ENOBUFS...).
+  bool AcceptPending();
+  /// Reads, handles and answers one frame; false when the connection
+  /// must close (EOF, socket error, stall, lost framing).
+  bool ServeFrame(int fd);
+  /// Re-arms a one-shot registration; false if the fd could not be armed.
+  bool Arm(int fd);
+  void CloseConnection(int fd);
   /// False once Stop is signaled or the deadline passes.
   bool WaitReadable(int fd, const Deadline& deadline);
 
   FrameHandler* handler_;
   TcpServerOptions options_;
   int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};  // self-pipe waking workers out of poll
+  int epoll_fd_ = -1;
+  int stop_pipe_[2] = {-1, -1};  // never drained: wakes every waiter
   uint16_t port_ = 0;
   std::vector<std::thread> workers_;
+  Mutex conns_mu_;
+  std::set<int> conns_ HIPADS_GUARDED_BY(conns_mu_);  // closed by Stop
 };
 
 }  // namespace hipads

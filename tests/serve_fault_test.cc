@@ -7,15 +7,25 @@
 // identical to the healthy path. The suite also pins the lock-free
 // concurrency contract: an immutable backend serves interleaved sweeps
 // and point lookups from many threads with results bitwise equal to the
-// serial ones (run under -DHIPADS_SANITIZE=thread via the `tsan` label).
+// serial ones (run under -DHIPADS_SANITIZE=thread via the `tsan` label),
+// and the connection contract: a routed point never waits behind a sweep
+// on a shared connection, idle connections hold no server worker, and a
+// failed accept or a lost response never wedges a server or a channel.
 
 #include "serve/fault.h"
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -442,9 +452,8 @@ class BatchSheddingHandler : public FrameHandler {
 };
 
 // Per-entry sheds inside an otherwise successful batch response: every
-// affected caller falls back to its own single-request call — through
-// the PointBatch API and through the coalescing path — and ends with
-// bytes identical to the healthy answer.
+// affected entry of a PointBatch call falls back to its own single-request
+// call and ends with bytes identical to the healthy answer.
 TEST(ServeFaultTest, ShedBatchEntriesFallBackToIdenticalSingleCalls) {
   FlatAdsSet set = BuildFlat(80, 61, 4);
   FlatAdsBackend backend(&set);
@@ -468,54 +477,23 @@ TEST(ServeFaultTest, ShedBatchEntriesFallBackToIdenticalSingleCalls) {
     requests[i].node = static_cast<NodeId>((i * 19) % 80);
   }
 
-  // PointBatch: its first batch frame is shed per entry.
-  {
-    RouterOptions options;
-    options.backoff_base_ms = 1;
-    options.backoff_max_ms = 2;
-    auto router = FleetRouter::Connect(manifest, factory, options);
-    ASSERT_TRUE(router.ok()) << router.status().ToString();
-    std::vector<PointBatchResponseEntry> entries =
-        router.value().PointBatch(requests);
-    ASSERT_EQ(entries.size(), requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_TRUE(entries[i].status.ok()) << entries[i].status.ToString();
-      auto expected = reference.Point(requests[i]);
-      ASSERT_TRUE(expected.ok());
-      EXPECT_EQ(entries[i].payload, EncodePointResponse(expected.value()))
-          << "entry " << i;
-    }
-    EXPECT_GE(shedding.sheds(), 1);
+  // The first batch frame is shed per entry.
+  RouterOptions options;
+  options.backoff_base_ms = 1;
+  options.backoff_max_ms = 2;
+  auto router = FleetRouter::Connect(manifest, factory, options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  std::vector<PointBatchResponseEntry> entries =
+      router.value().PointBatch(requests);
+  ASSERT_EQ(entries.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(entries[i].status.ok()) << entries[i].status.ToString();
+    auto expected = reference.Point(requests[i]);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(entries[i].payload, EncodePointResponse(expected.value()))
+        << "entry " << i;
   }
-
-  // Coalesced concurrent callers: their shared batch is shed per entry;
-  // each caller retries alone and still gets the healthy bytes.
-  {
-    RouterOptions options;
-    options.coalesce_window_us = 200000;
-    options.backoff_base_ms = 1;
-    options.backoff_max_ms = 2;
-    auto router = FleetRouter::Connect(manifest, factory, options);
-    ASSERT_TRUE(router.ok()) << router.status().ToString();
-    std::vector<StatusOr<PointResponseMsg>> got(
-        requests.size(),
-        StatusOr<PointResponseMsg>(Status::Unavailable("pending")));
-    std::vector<std::thread> threads;
-    threads.reserve(requests.size());
-    for (size_t t = 0; t < requests.size(); ++t) {
-      threads.emplace_back(
-          [&, t] { got[t] = router.value().Point(requests[t]); });
-    }
-    for (std::thread& th : threads) th.join();
-    for (size_t t = 0; t < requests.size(); ++t) {
-      ASSERT_TRUE(got[t].ok()) << got[t].status().ToString();
-      auto expected = reference.Point(requests[t]);
-      ASSERT_TRUE(expected.ok());
-      EXPECT_EQ(EncodePointResponse(got[t].value()),
-                EncodePointResponse(expected.value()))
-          << "caller " << t;
-    }
-  }
+  EXPECT_GE(shedding.sheds(), 1);
 }
 
 // Hedging defeats a stalled primary connection: the delayed second
@@ -727,6 +705,317 @@ TEST(ServeFaultTest, ConcurrentSweepsAndPointsAreBitwiseDeterministic) {
     EXPECT_EQ(mismatches.load(), 0);
   }
   std::filesystem::remove_all(shard_dir);
+}
+
+// Forwards to a backend, but parks every Range() call until released, so
+// a sweep can be held in flight while other requests run.
+class GatedBackend : public AdsBackend {
+ public:
+  explicit GatedBackend(const AdsBackend* inner) : inner_(inner) {}
+
+  SketchFlavor flavor() const override { return inner_->flavor(); }
+  uint32_t k() const override { return inner_->k(); }
+  const RankAssignment& ranks() const override { return inner_->ranks(); }
+  size_t num_nodes() const override { return inner_->num_nodes(); }
+  uint64_t TotalEntries() const override { return inner_->TotalEntries(); }
+  uint32_t NumRanges() const override { return inner_->NumRanges(); }
+  StatusOr<AdsArenaView> Range(uint32_t r) const override {
+    entered_.store(true);
+    while (!released_.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return inner_->Range(r);
+  }
+  StatusOr<AdsView> ViewOf(NodeId v) const override {
+    return inner_->ViewOf(v);
+  }
+
+  bool entered() const { return entered_.load(); }
+  void Release() { released_.store(true); }
+
+ private:
+  const AdsBackend* inner_;
+  mutable std::atomic<bool> entered_{false};
+  std::atomic<bool> released_{false};
+};
+
+// Polls `done` every millisecond for up to `ms`; true once it holds.
+bool WaitFor(const std::function<bool()>& done, int ms) {
+  auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+FleetManifest OneServerManifest(uint64_t num_nodes, uint16_t port) {
+  FleetManifest manifest;
+  manifest.num_nodes = num_nodes;
+  manifest.servers = {{"127.0.0.1:" + std::to_string(port), 0,
+                       static_cast<NodeId>(num_nodes)}};
+  return manifest;
+}
+
+// Head-of-line: a routed point sent while a sweep to the same server is in
+// flight takes its own pooled connection (and a second server worker), so
+// it answers at once instead of waiting out the sweep; the sweep's bytes
+// are unaffected.
+TEST(ServeFaultTest, RoutedPointDoesNotWaitOutASweepInFlight) {
+  FlatAdsSet set = BuildFlat(80, 67, 4);
+  FlatAdsBackend flat(&set);
+  GatedBackend gated(&flat);
+  AdsServerCore core(&gated, ServerOptions{});
+  TcpServer server(&core, TcpServerOptions{0, 2});
+  ASSERT_TRUE(server.Start().ok());
+  auto router = FleetRouter::Connect(OneServerManifest(80, server.port()),
+                                     TcpChannelFactory());
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+
+  // The healthy answers, from an ungated core over loopback.
+  AdsServerCore reference_core(&flat, ServerOptions{});
+  LoopbackChannel reference_loop(&reference_core);
+  FleetManifest loop_manifest;
+  loop_manifest.num_nodes = 80;
+  loop_manifest.servers = {{"loop:0", 0, 80}};
+  auto reference = FleetRouter::Connect(
+      loop_manifest, [&reference_loop](const std::string&)
+                         -> StatusOr<std::unique_ptr<Channel>> {
+        return std::unique_ptr<Channel>(
+            std::make_unique<BorrowedChannel>(&reference_loop));
+      });
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::vector<CollectorSpec> spec = SmallSpec();
+  const std::vector<std::string> expected_partials =
+      SweepPartialPayloads(reference.value(), spec);
+  PointRequestMsg point_request;
+  point_request.kind = PointKind::kNodeStats;
+  point_request.node = 41;
+  auto expected_point = reference.value().Point(point_request);
+  ASSERT_TRUE(expected_point.ok());
+
+  SweepPlan plan;
+  auto built = BuildPlanFromSpec(spec, &plan);
+  ASSERT_TRUE(built.ok());
+  SweepRequestMsg sweep;
+  sweep.collectors = spec;
+  Status swept = Status::Unavailable("pending");
+  std::thread sweeper(
+      [&] { swept = router.value().ExecuteSweep(sweep, built.value()); });
+  const bool sweep_in_flight = WaitFor([&] { return gated.entered(); }, 10000);
+
+  std::atomic<bool> answered{false};
+  StatusOr<PointResponseMsg> point = Status::Unavailable("pending");
+  std::thread pointer([&] {
+    point = router.value().Point(point_request, Deadline::AfterMs(2000));
+    answered.store(true);
+  });
+  const bool in_time = WaitFor([&] { return answered.load(); }, 2500);
+  gated.Release();
+  pointer.join();
+  sweeper.join();
+
+  ASSERT_TRUE(sweep_in_flight) << "the sweep never reached the backend";
+  EXPECT_TRUE(in_time) << "the point waited out the sweep in flight";
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_EQ(EncodePointResponse(point.value()),
+            EncodePointResponse(expected_point.value()));
+  ASSERT_TRUE(swept.ok()) << swept.ToString();
+  for (size_t i = 0; i < built.value().size(); ++i) {
+    std::string partial;
+    ASSERT_TRUE(built.value()[i]->EncodePartial(0, 80, &partial).ok());
+    EXPECT_EQ(partial, expected_partials[i]) << "collector " << i;
+  }
+}
+
+// A restarted server leaves every pooled connection to it stale. The
+// first failure drops them all, so one retry reconnects instead of
+// failing on a second stale socket.
+TEST(ServeFaultTest, RetryAfterServerRestartReconnectsPastStalePool) {
+  FlatAdsSet set = BuildFlat(60, 83, 4);
+  FlatAdsBackend flat(&set);
+  GatedBackend gated(&flat);
+  AdsServerCore core(&gated, ServerOptions{});
+  auto server = std::make_unique<TcpServer>(&core, TcpServerOptions{0, 2});
+  ASSERT_TRUE(server->Start().ok());
+  const uint16_t port = server->port();
+  RouterOptions options;
+  options.retries = 1;
+  options.backoff_base_ms = 1;
+  options.backoff_max_ms = 2;
+  auto router = FleetRouter::Connect(OneServerManifest(60, port),
+                                     TcpChannelFactory(), options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+
+  // Two pooled connections: a point runs while a held sweep keeps the
+  // first one checked out, so it opens a second.
+  SweepPlan plan;
+  auto built = BuildPlanFromSpec(SmallSpec(), &plan);
+  ASSERT_TRUE(built.ok());
+  SweepRequestMsg sweep;
+  sweep.collectors = SmallSpec();
+  Status swept = Status::Unavailable("pending");
+  std::thread sweeper(
+      [&] { swept = router.value().ExecuteSweep(sweep, built.value()); });
+  const bool sweep_in_flight = WaitFor([&] { return gated.entered(); }, 10000);
+  PointRequestMsg request;
+  request.kind = PointKind::kNodeStats;
+  request.node = 9;
+  auto before = router.value().Point(request, Deadline::AfterMs(5000));
+  gated.Release();
+  sweeper.join();
+  ASSERT_TRUE(sweep_in_flight);
+  ASSERT_TRUE(swept.ok()) << swept.ToString();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  server->Stop();
+  server.reset();
+  TcpServerOptions revive;
+  revive.port = port;
+  revive.num_workers = 2;
+  TcpServer revived(&core, revive);
+  ASSERT_TRUE(revived.Start().ok());
+  auto after = router.value().Point(request, Deadline::AfterMs(5000));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(EncodePointResponse(after.value()),
+            EncodePointResponse(before.value()));
+}
+
+// Starvation: idle connections hold no server worker. A 2-worker server
+// with 3 idle clients still answers a fourth one — and the idle ones too.
+TEST(ServeFaultTest, IdleConnectionsDoNotStarveOtherClients) {
+  FlatAdsSet set = BuildFlat(40, 71, 4);
+  FlatAdsBackend backend(&set);
+  AdsServerCore core(&backend, ServerOptions{});
+  TcpServer server(&core, TcpServerOptions{0, 2});
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::unique_ptr<TcpChannel>> idle;
+  for (int i = 0; i < 3; ++i) {
+    auto channel = TcpChannel::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+    idle.push_back(std::move(channel).value());
+  }
+  // Let the server take the idle connections in before the fourth arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  auto fourth = TcpChannel::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(fourth.ok()) << fourth.status().ToString();
+  auto info = AdsClient(fourth.value().get(), Deadline::AfterMs(2000)).Info();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info.value().node_end, 40u);
+  for (auto& channel : idle) {
+    EXPECT_TRUE(AdsClient(channel.get(), Deadline::AfterMs(2000)).Info().ok());
+  }
+}
+
+// Lowers this process's open-file soft limit until destruction.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    ok_ = ::getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = ok_ && ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~ScopedFdLimit() {
+    if (ok_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  ScopedFdLimit(const ScopedFdLimit&) = delete;
+  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+// An accept that fails for lack of file descriptors (EMFILE) costs the
+// server a pause, not a worker: once descriptors are free again the same
+// 1-worker server accepts and answers.
+TEST(ServeFaultTest, AcceptErrorsDoNotEndTheServer) {
+  FlatAdsSet set = BuildFlat(40, 73, 4);
+  FlatAdsBackend backend(&set);
+  AdsServerCore core(&backend, ServerOptions{});
+  TcpServer server(&core, TcpServerOptions{0, 1});
+  ASSERT_TRUE(server.Start().ok());
+
+  // Made before the limit drops: connecting it opens no descriptor here,
+  // but accepting it needs one on the server side.
+  int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  {
+    // The lowest free descriptor number becomes the limit, so the next
+    // descriptor this process opens — the server's accept — hits EMFILE.
+    int lowest_free = ::dup(client);
+    ASSERT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    ScopedFdLimit limit(static_cast<rlim_t>(lowest_free));
+    ASSERT_TRUE(limit.ok());
+    EXPECT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+
+  auto channel = TcpChannel::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  auto info = AdsClient(channel.value().get(), Deadline::AfterMs(2000)).Info();
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  ::close(client);
+}
+
+// Delays the first response only, so a call with a short deadline gives up
+// on it while it is still on its way.
+class SlowFirstResponseHandler : public FrameHandler {
+ public:
+  explicit SlowFirstResponseHandler(FrameHandler* inner) : inner_(inner) {}
+  std::string HandleFrame(std::string_view request,
+                          bool* close_connection) override {
+    if (first_.exchange(false)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+    return inner_->HandleFrame(request, close_connection);
+  }
+
+ private:
+  FrameHandler* inner_;
+  std::atomic<bool> first_{true};
+};
+
+// A call that gave up after its request went out leaves that request's
+// response on its way; the channel is broken from then on, so the next
+// call fails with IOError instead of reading the stale response as its own.
+TEST(ServeFaultTest, TcpChannelFailsFastAfterACallLostItsResponse) {
+  FlatAdsSet set = BuildFlat(60, 79, 4);
+  FlatAdsBackend backend(&set);
+  AdsServerCore core(&backend, ServerOptions{});
+  SlowFirstResponseHandler slow(&core);
+  TcpServer server(&slow, TcpServerOptions{0, 1});
+  ASSERT_TRUE(server.Start().ok());
+  auto channel = TcpChannel::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+
+  PointRequestMsg first;
+  first.kind = PointKind::kNodeStats;
+  first.node = 3;
+  auto late =
+      AdsClient(channel.value().get(), Deadline::AfterMs(50)).Point(first);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), Status::Code::kDeadlineExceeded);
+
+  PointRequestMsg second = first;
+  second.node = 40;
+  auto next = AdsClient(channel.value().get()).Point(second);
+  ASSERT_FALSE(next.ok()) << "the second call read a response as its own";
+  EXPECT_EQ(next.status().code(), Status::Code::kIOError)
+      << next.status().ToString();
 }
 
 }  // namespace

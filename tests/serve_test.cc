@@ -691,31 +691,8 @@ TEST(ServeTest, PointBatchSharesTheSingleRequestCache) {
   EXPECT_EQ(core.point_cache_hits(), 3u);
 }
 
-// A channel wrapper counting batch request frames — how the coalescing
-// tests observe that concurrent calls actually traveled batched.
-class BatchCountingChannel : public Channel {
- public:
-  BatchCountingChannel(std::unique_ptr<Channel> inner,
-                       std::atomic<uint64_t>* batch_frames)
-      : inner_(std::move(inner)), batch_frames_(batch_frames) {}
-  using Channel::Call;
-  Status Call(std::string_view request, Frame* response,
-              const Deadline& deadline) override {
-    auto frame = DecodeFrame(request);
-    if (frame.ok() &&
-        frame.value().type == MessageType::kPointBatchRequest) {
-      batch_frames_->fetch_add(1, std::memory_order_relaxed);
-    }
-    return inner_->Call(request, response, deadline);
-  }
-
- private:
-  std::unique_ptr<Channel> inner_;
-  std::atomic<uint64_t>* batch_frames_;
-};
-
 // Runs `n` concurrent Point calls through `router` and asserts every
-// response is byte-identical to the uncoalesced `plain` router's answer.
+// response is byte-identical to the `plain` router's answer.
 void ExpectConcurrentPointsMatch(FleetRouter& router, FleetRouter& plain,
                                  int n) {
   std::vector<PointRequestMsg> requests(n);
@@ -745,78 +722,46 @@ void ExpectConcurrentPointsMatch(FleetRouter& router, FleetRouter& plain,
   }
 }
 
-// Concurrent callers through a coalescing router get exactly the bytes
-// their lone calls would have, and at least some of them travel in one
-// batch frame (the 200 ms window dwarfs thread spawn time, so the first
-// caller leads and the rest join its batch).
-TEST(ServeTest, CoalescedPointsMatchSingleCallsBitwise) {
+// Concurrent callers through a router each check a pooled connection out
+// for their call and get exactly the bytes their lone calls would have.
+// Connections go back to the pool afterwards: a later call opens none.
+TEST(ServeTest, PooledConcurrentPointsMatchSingleCallsBitwise) {
   FlatAdsSet full = BuildFlat(160, 29, 8);
-  ScratchDir dir("hipads_serve_test_coalesce");
+  ScratchDir dir("hipads_serve_test_pool");
   LoopbackFleet fleet = MakeFleet(full, {0, 80, 160},
                                   {Engine::kCopy, Engine::kCopy}, dir, 1);
-  std::atomic<uint64_t> batch_frames{0};
+  std::atomic<int> opened{0};
   ChannelFactory factory = fleet.Factory();
-  ChannelFactory counting =
-      [&factory, &batch_frames](const std::string& address)
-      -> StatusOr<std::unique_ptr<Channel>> {
-    auto inner = factory(address);
-    if (!inner.ok()) return inner.status();
-    return std::unique_ptr<Channel>(std::make_unique<BatchCountingChannel>(
-        std::move(inner).value(), &batch_frames));
+  ChannelFactory counting = [&factory, &opened](const std::string& address) {
+    opened.fetch_add(1);
+    return factory(address);
   };
-  RouterOptions options;
-  options.coalesce_window_us = 200000;
-  auto router = FleetRouter::Connect(fleet.manifest, counting, options);
-  ASSERT_TRUE(router.ok()) << router.status().ToString();
-  auto plain = FleetRouter::Connect(fleet.manifest, fleet.Factory());
-  ASSERT_TRUE(plain.ok());
-
-  ExpectConcurrentPointsMatch(router.value(), plain.value(), 6);
-  EXPECT_GE(batch_frames.load(), 1u) << "no call was coalesced";
-}
-
-// The HIPADS_COALESCE_WINDOW_US environment knob (how CI's tsan lane
-// forces this path on) turns coalescing on when the option is unset.
-TEST(ServeTest, CoalesceWindowEnvKnobForcesTheBatchPath) {
-  FlatAdsSet full = BuildFlat(160, 37, 8);
-  ScratchDir dir("hipads_serve_test_coalesce_env");
-  LoopbackFleet fleet = MakeFleet(full, {0, 80, 160},
-                                  {Engine::kCopy, Engine::kCopy}, dir, 1);
-  std::atomic<uint64_t> batch_frames{0};
-  ChannelFactory factory = fleet.Factory();
-  ChannelFactory counting =
-      [&factory, &batch_frames](const std::string& address)
-      -> StatusOr<std::unique_ptr<Channel>> {
-    auto inner = factory(address);
-    if (!inner.ok()) return inner.status();
-    return std::unique_ptr<Channel>(std::make_unique<BatchCountingChannel>(
-        std::move(inner).value(), &batch_frames));
-  };
-  ASSERT_EQ(setenv("HIPADS_COALESCE_WINDOW_US", "200000", 1), 0);
   auto router = FleetRouter::Connect(fleet.manifest, counting);
-  unsetenv("HIPADS_COALESCE_WINDOW_US");
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   auto plain = FleetRouter::Connect(fleet.manifest, fleet.Factory());
   ASSERT_TRUE(plain.ok());
 
-  ExpectConcurrentPointsMatch(router.value(), plain.value(), 6);
-  EXPECT_GE(batch_frames.load(), 1u) << "env knob did not enable coalescing";
+  constexpr int kCallers = 6;
+  ExpectConcurrentPointsMatch(router.value(), plain.value(), kCallers);
+  const int opened_by_callers = opened.load();
+  // One handshake connection per server, at most one more per caller.
+  EXPECT_LE(opened_by_callers, 2 + kCallers);
+  ExpectConcurrentPointsMatch(router.value(), plain.value(), 1);
+  EXPECT_EQ(opened.load(), opened_by_callers) << "a pooled channel was lost";
 }
 
-// Pipelined TCP: concurrent callers keep multiple frames in flight on ONE
-// socket; ticket/turn pairing hands every response back to its caller
-// (each response is checked against an independently computed answer, so
-// any cross-matched pair would fail loudly).
-TEST(ServeTest, PipelinedTcpChannelCorrelatesConcurrentCalls) {
+// One TCP channel shared by concurrent callers: each call owns the socket
+// for its round trip, so every response goes back to its own caller (each
+// is checked against an independently computed answer, so any
+// cross-matched pair would fail loudly).
+TEST(ServeTest, TcpChannelCorrelatesConcurrentCalls) {
   FlatAdsSet full = BuildFlat(120, 31, 8);
   FlatAdsBackend backend(&full);
   AdsServerCore core(&backend, ServerOptions{});
-  TcpServer server(&core, TcpServerOptions{0, 1});  // one worker, one pump
+  TcpServer server(&core, TcpServerOptions{0, 1});  // one worker
   ASSERT_TRUE(server.Start().ok());
 
-  TcpChannelOptions options;
-  options.pipeline = true;
-  auto channel = TcpChannel::Connect("127.0.0.1", server.port(), options);
+  auto channel = TcpChannel::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(channel.ok()) << channel.status().ToString();
   AdsClient client(channel.value().get());
 

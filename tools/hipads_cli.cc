@@ -26,12 +26,12 @@
 // `--remote`, `route`) accepts `--timeout-ms N` (overall request deadline,
 // propagated hop by hop on the wire; 0 = none), `--retries N` (transport-
 // failure retry budget with jittered backoff; attempts = N + 1),
-// `--hedge 1` (race a second fresh connection for point requests after
-// 50 ms of silence) and `--coalesce-us N` (batch concurrent same-server
-// point requests into wire-v3 batch frames, flushed every N microseconds;
-// mutually exclusive with hedging). `serve` and `route` accept `--timeout-ms N` as the
-// per-frame read stall bound on their listening sockets. Failures fail
-// closed with an exit status and an error naming the failing server.
+// and `--hedge 1` (race a second attempt, on its own connection, for point
+// requests after 50 ms of silence). `serve` and `route` accept
+// `--timeout-ms N` as the per-frame read stall bound on their listening
+// sockets, and `--workers N` (default 4) as the number of frames they
+// serve at once; idle connections hold no worker. Failures fail closed
+// with an exit status and an error naming the failing server.
 //
 // `query` and `stats` accept a plain ADS file (v1 or v2, auto-detected) or
 // a shard directory / manifest written by `shard`; every input is served
@@ -186,15 +186,11 @@ int Fail(const Status& status) {
 // Shared robustness knobs of every remote-speaking command:
 //   --timeout-ms N    overall request deadline (and connect timeout); 0 = none
 //   --retries N       transport-failure retry budget (attempts = N + 1)
-//   --hedge 1         hedge point requests over a second fresh connection
-//   --coalesce-us N   coalesce concurrent same-server point requests into
-//                     batch frames, flushing every N microseconds (0 = off;
-//                     the HIPADS_COALESCE_WINDOW_US env var also sets it)
+//   --hedge 1         hedge point requests over a second connection
 struct RemoteOptions {
   uint64_t timeout_ms = 0;
   uint32_t retries = 1;
   bool hedge = false;
-  uint64_t coalesce_us = 0;
 };
 
 RemoteOptions GetRemoteOptions(const Args& args) {
@@ -202,7 +198,6 @@ RemoteOptions GetRemoteOptions(const Args& args) {
   remote.timeout_ms = args.GetInt("timeout-ms", 0);
   remote.retries = static_cast<uint32_t>(args.GetInt("retries", 1));
   remote.hedge = args.GetInt("hedge", 0) != 0;
-  remote.coalesce_us = args.GetInt("coalesce-us", 0);
   return remote;
 }
 
@@ -266,7 +261,6 @@ StatusOr<FleetRouter> ConnectSingleServerFleet(const std::string& address,
   router_options.timeout_ms = remote.timeout_ms;
   router_options.retries = remote.retries;
   router_options.hedge = remote.hedge;
-  router_options.coalesce_window_us = remote.coalesce_us;
   return FleetRouter::Connect(std::move(manifest),
                               TcpChannelFactory(channel_options),
                               router_options);
@@ -1058,7 +1052,6 @@ int CmdRoute(const Args& args) {
   router_options.timeout_ms = remote.timeout_ms;
   router_options.retries = remote.retries;
   router_options.hedge = remote.hedge;
-  router_options.coalesce_window_us = remote.coalesce_us;
   auto connected = FleetRouter::Connect(
       std::move(manifest).value(),
       TcpChannelFactory(RemoteChannelOptions(remote)), router_options);
