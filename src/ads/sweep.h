@@ -10,8 +10,8 @@
 // query engines applied to sketch serving:
 //
 //   SweepPlan  — an ordered list of collectors (the statistics to fuse).
-//   Collector  — a per-node visitor with a node-order-deterministic
-//                reduction (SweepCollector below).
+//   Collector  — a per-node visitor whose state comes out the same
+//                whatever thread visits which node (SweepCollector below).
 //   Executor   — RunSweep: ONE pass over any storage (AdsSet, FlatAdsSet,
 //                or any AdsBackend — in-memory, mmap, sharded),
 //                constructing each node's HipEstimator ONCE and feeding
@@ -25,11 +25,12 @@
 //
 // Determinism contract: results are bitwise identical to running each
 // statistic standalone, on every storage engine, for every thread count.
-// The executor guarantees it by construction —
+// It holds by construction —
 //   * per-node outputs are written indexed by node (never by thread);
-//   * order-sensitive reductions (the distance-distribution histogram)
-//     happen in the sequential Reduce phase, which the executor calls in
-//     node order, block by block, whatever the thread count;
+//   * accumulating statistics (the distance-distribution histogram) fold
+//     exactly — error-free sums rounded once when read — so the fold
+//     order, and with it the thread that folded each node, cannot change
+//     a bit of the result;
 //   * backends are swept one contiguous node range at a time in node
 //     order, so the per-node visit order matches the single-arena sweep.
 
@@ -50,27 +51,19 @@
 #include "ads/backend.h"
 #include "ads/estimators.h"
 #include "ads/flat_ads.h"
-#include "util/exact_sum.h"
 #include "util/status.h"
 
 namespace hipads {
 
-/// One fused statistic: a per-node visitor plus a node-order reduction.
+/// One fused statistic: a per-node visitor with a mergeable state.
 ///
-/// The executor drives each block of nodes through two phases:
-///   1. Map(v, est) — parallel. Called once per node from pool threads;
-///      `est` is node v's HipEstimator (shared by every collector in the
-///      plan). Implementations must only write state indexed by v —
-///      never shared accumulators — so any thread interleaving produces
-///      the same memory image.
-///   2. Reduce(first, ests) — sequential, in node order. `ests[i]` is node
-///      (first + i)'s estimator, the same object Map saw, kept alive for
-///      the whole block. This is where order-sensitive folds (histogram
-///      accumulation) happen; the executor's node-ordered calls make the
-///      floating-point accumulation order — and hence the result, bitwise
-///      — independent of the thread count.
-/// Collectors that only produce independent per-node values override Map
-/// and leave Reduce empty; purely accumulating collectors do the opposite.
+/// The executor calls Map(v, est) once per node, in parallel from pool
+/// threads; `est` is node v's HipEstimator (shared by every collector in
+/// the plan) and lives only for the call, so the executor's memory is
+/// O(threads). A collector's state must come out the same under any
+/// thread interleaving: per-node collectors write only state indexed by
+/// v; accumulating collectors fold into per-thread partials whose merge
+/// is exact, and so independent of which thread folded which node.
 class SweepCollector {
  public:
   virtual ~SweepCollector();
@@ -78,18 +71,13 @@ class SweepCollector {
   /// Called once before the sweep visits any node.
   virtual void Begin(size_t num_nodes);
 
-  /// Parallel phase; see the class comment for the threading contract.
+  /// Called once per node, concurrently; see the class comment.
   virtual void Map(NodeId v, const HipEstimator& est);
 
-  /// Sequential node-order phase over one block of estimators.
+  /// Inert: the executor has no Reduce phase and never calls these two.
+  /// They remain only because perfbench's TimedCollector still overrides
+  /// them; they go once it stops.
   virtual void Reduce(NodeId first, std::span<const HipEstimator> ests);
-
-  /// Whether this collector's Reduce does anything. When every collector
-  /// in a plan returns false, the executor constructs each node's
-  /// estimator on the stack and discards it after Map — O(threads) peak
-  /// memory — instead of keeping a block of estimators alive for the
-  /// Reduce phase. Defaults to true (safe for any subclass that
-  /// overrides Reduce); Map-only collectors override it to false.
   virtual bool NeedsReduce() const;
 
   // --- Partial-state seam for distributed scatter/gather (src/serve/) ---
@@ -135,7 +123,6 @@ class PerNodeCollector : public SweepCollector {
 
   void Begin(size_t num_nodes) override;
   void Map(NodeId v, const HipEstimator& est) override;
-  bool NeedsReduce() const override;  // false: everything happens in Map
 
   /// Partial state: the raw little-endian doubles of values_[begin, end)
   /// in node order. Absorb copies them back into values_[begin, end) —
@@ -228,23 +215,39 @@ class TopKCollector : public PerNodeCollector {
 /// which the neighbourhood function, effective diameter and mean distance
 /// all derive — one backend pass yields all four statistics.
 /// Each distance's pair count is an exact (error-free) sum of HIP weights
-/// held in a superaccumulator (util/exact_sum.h) and rounded once when
-/// read, so the result is independent of fold order, thread count, and —
-/// crucially for the distributed gather — of how node ranges were
-/// partitioned across servers. The shared acc_ map still makes the fold
-/// single-writer, so it stays in the sequential Reduce phase.
+/// (util/exact_sum.h) rounded once when read, so the result is independent
+/// of fold order, thread count, and — crucially for the distributed
+/// gather — of how node ranges were partitioned across servers.
+///
+/// Map folds each node's HIP entries into the calling thread's own
+/// partial: a hash table from distance to a compact exact sum (a lone
+/// weight stays a double; a repeated distance keeps only the few digits
+/// its sum touches). The first read seals the partials — each sorted by
+/// distance, then merged pairwise, in parallel when large — into one
+/// sorted array of distances with their rounded sums and exact digit
+/// windows, which every accessor reads. Begin starts fresh partials, so
+/// a collector can be reused across sweeps and several can share a plan.
+/// Reads (the const methods) may run concurrently with each other, not
+/// with Begin, Map or AbsorbPartial. A moved-from collector may only be
+/// destroyed or assigned to.
 class DistanceHistogramCollector : public SweepCollector {
  public:
+  DistanceHistogramCollector();
+  ~DistanceHistogramCollector() override;
+  DistanceHistogramCollector(DistanceHistogramCollector&&) noexcept;
+  DistanceHistogramCollector& operator=(DistanceHistogramCollector&&) noexcept;
+
   void Begin(size_t num_nodes) override;
-  void Reduce(NodeId first, std::span<const HipEstimator> ests) override;
+  void Map(NodeId v, const HipEstimator& est) override;
 
   /// Partial state for the distributed gather: O(distinct distances) —
-  /// each distance with its exact superaccumulator digits. Absorbing is
-  /// one exact merge per distance; because per-distance sums are
-  /// error-free until the final rounding, a router merging any partition
-  /// of ranges reproduces the single-process sweep bitwise. (The previous
-  /// design shipped the O(HIP entries) (dist, weight) replay stream;
-  /// exactness makes the summary form lossless.)
+  /// u64 count, then per ascending distance the f64 distance and its
+  /// exact sum's canonical digit window (ExactSum::EncodeTo), so equal
+  /// values encode to equal bytes whatever their fold history. Absorbing
+  /// is a linear merge of two sorted lists, exact per distance, so a
+  /// router merging any partition of ranges reproduces the single-process
+  /// sweep bitwise; its memory is O(bytes received), and the collector is
+  /// changed only once the whole partial has parsed.
   Status EncodePartial(NodeId begin, NodeId end,
                        std::string* out) const override;  // range-free state
   Status AbsorbPartial(NodeId begin, NodeId end,
@@ -265,9 +268,8 @@ class DistanceHistogramCollector : public SweepCollector {
   double MeanDistance() const;
 
  private:
-  void Fold(double dist, double weight);
-
-  std::map<double, ExactSum> acc_;
+  struct State;  // partials and the sealed histogram (sweep.cc)
+  std::unique_ptr<State> state_;
 };
 
 /// An ordered list of collectors to fuse into one sweep. The plan does not

@@ -596,8 +596,9 @@ Status FleetRouter::ExecuteSweep(
   }
   for (std::thread& t : calls) t.join();
 
-  // Gather: absorb in node order — the fleet-level replay of the sweep
-  // executor's sequential node-order Reduce.
+  // Gather: absorb in node order. Per-node slices land at their own
+  // offsets and histogram sums are exact, so the result is the
+  // single-process sweep's whatever order the partials arrived in.
   for (SweepCollector* c : collectors) c->Begin(manifest_.num_nodes);
   for (size_t i = 0; i < n; ++i) {
     const FleetEntry& entry = manifest_.servers[i];

@@ -27,11 +27,11 @@
 //   * Sweeps — scatter: the serialized SweepPlan goes to every range
 //     server concurrently; each runs ONE fused pass over its backend
 //     (ads/sweep.h) and returns its collectors' partial states. Gather:
-//     partials are absorbed in node order (never completion order), which
-//     replays the sequential node-order Reduce — so every statistic is
-//     bitwise identical to a single-process RunSweep over the same
-//     sketches, whatever the fleet layout, transport, or per-server thread
-//     counts.
+//     partials are absorbed in node order (never completion order); the
+//     histogram's exact per-distance sums make any absorb order land on
+//     the same bits anyway — so every statistic is bitwise identical to a
+//     single-process RunSweep over the same sketches, whatever the fleet
+//     layout, transport, or per-server thread counts.
 //   * Point queries — routed to the owning server by range; Jaccard pairs
 //     that span two servers are evaluated by fetching both raw sketches
 //     and running the same similarity estimator router-side.

@@ -97,6 +97,35 @@ TEST(LintTest, HL002FiresOnUnorderedIteration) {
   EXPECT_EQ(hl002[1].line, 8u);
 }
 
+// The histogram folds in parallel per-thread partials and orders them
+// only when it seals and merges them (src/ads/sweep.cc); hash order there
+// would reach the merged digits and the partial bytes, so the rule must
+// keep covering those functions.
+TEST(LintTest, HL002FiresInHistogramSealAndMerge) {
+  auto findings = LintOne(
+      "src/ads/sweep.cc",
+      "#include <unordered_map>\n"
+      "struct HistogramPartial {\n"
+      "  std::unordered_map<double, double> sums_;\n"
+      "  HistogramRun Seal() {\n"
+      "    HistogramRun run;\n"
+      "    for (const auto& [dist, sum] : sums_) run.PushExact(dist, sum);\n"
+      "    return run;\n"
+      "  }\n"
+      "};\n"
+      "HistogramRun MergeRuns(const std::unordered_map<double, double>& b) {\n"
+      "  HistogramRun out;\n"
+      "  for (auto it = b.begin(); it != b.end(); ++it) {\n"
+      "    out.PushExact(it->first, it->second);\n"
+      "  }\n"
+      "  return out;\n"
+      "}\n");
+  auto hl002 = FindingsFor("HL002", findings);
+  ASSERT_EQ(hl002.size(), 2u);
+  EXPECT_EQ(hl002[0].line, 6u);
+  EXPECT_EQ(hl002[1].line, 12u);
+}
+
 TEST(LintTest, HL002SilentOnPointLookupsAndOrderedContainers) {
   // find/erase/count on an unordered map are order-free; iterating a
   // std::map is ordered; and unordered iteration outside the

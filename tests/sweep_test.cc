@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "ads/queries.h"
 #include "ads/shard.h"
 #include "graph/generators.h"
+#include "util/exact_sum.h"
 
 namespace hipads {
 namespace {
@@ -29,6 +33,83 @@ FlatAdsSet BuildFlat(uint32_t n, uint64_t graph_seed, uint32_t k) {
   Graph g = ErdosRenyi(n, 3ULL * n, true, graph_seed);
   return FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(graph_seed + 1)));
+}
+
+// ER with U[1,10) real weights: nearly every HIP entry has its own
+// distance, and the distances the two directions of a pair share repeat.
+FlatAdsSet BuildRealWeighted(uint32_t n, uint64_t graph_seed, uint32_t k) {
+  Graph g = RandomizeWeights(ErdosRenyi(n, 3ULL * n, true, graph_seed), 1.0,
+                             10.0, graph_seed + 1);
+  return FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+      g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(graph_seed + 2)));
+}
+
+// Node v's estimator, over the set's stored HIP weights when it has them.
+HipEstimator EstimatorOf(const FlatAdsSet& set, NodeId v) {
+  if (set.has_hip()) {
+    return HipEstimator(set.of(v), set.hip_tau.data() + set.offsets[v],
+                        set.hip_weight.data() + set.offsets[v]);
+  }
+  return HipEstimator(set.of(v), set.k, set.flavor, set.ranks);
+}
+
+// What a histogram over `set` must read and encode: every HIP entry
+// folded into a std::map<double, ExactSum> in node order on one thread —
+// the sequential fold the collector used before it folded in parallel.
+struct HistogramOracle {
+  std::map<double, double> distribution;
+  std::string partial;
+};
+HistogramOracle OracleHistogram(const FlatAdsSet& set) {
+  std::map<double, ExactSum> acc;
+  for (NodeId v = 0; v < set.num_nodes(); ++v) {
+    EstimatorOf(set, v).ForEachEntry([&acc](const HipEntry& e) {
+      if (e.dist > 0.0) acc[e.dist].Add(e.weight);
+    });
+  }
+  HistogramOracle oracle;
+  uint64_t count = acc.size();
+  oracle.partial.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  for (const auto& [dist, sum] : acc) {
+    oracle.distribution.emplace(dist, sum.Round());
+    oracle.partial.append(reinterpret_cast<const char*>(&dist),
+                          sizeof(double));
+    sum.EncodeTo(&oracle.partial);
+  }
+  return oracle;
+}
+
+std::string PartialOf(const SweepCollector& c) {
+  std::string bytes;
+  EXPECT_TRUE(c.EncodePartial(0, 0, &bytes).ok());
+  return bytes;
+}
+
+// Bitwise equality of a histogram's reading and partial with the oracle's
+// (compared whole, so a mismatch does not print 10^4 entries).
+void ExpectMatchesOracle(const DistanceHistogramCollector& hist,
+                         const HistogramOracle& oracle,
+                         const std::string& label) {
+  EXPECT_TRUE(hist.Distribution() == oracle.distribution) << label;
+  EXPECT_TRUE(PartialOf(hist) == oracle.partial) << label;
+}
+
+// The partial of set's node slice [begin, end), swept on its own at
+// `threads` threads — one range server's answer.
+std::string SlicePartial(const FlatAdsSet& set, NodeId begin, NodeId end,
+                         uint32_t threads) {
+  FlatAdsSet slice;
+  slice.flavor = set.flavor;
+  slice.k = set.k;
+  slice.ranks = set.ranks;
+  for (NodeId v = begin; v < end; ++v) {
+    auto entries = set.of(v).entries();
+    slice.AppendNode(std::vector<AdsEntry>(entries.begin(), entries.end()));
+  }
+  SweepPlan plan;
+  auto* hist = plan.Emplace<DistanceHistogramCollector>();
+  RunSweep(slice, plan, threads);
+  return PartialOf(*hist);
 }
 
 // Unique scratch dir per test; removed on destruction.
@@ -385,7 +466,9 @@ TEST(SweepTest, EncodedPartialsReplayToTheSingleProcessResultBitwise) {
 }
 
 // Borrowed collectors (Add) and owned collectors (Emplace) behave
-// identically; a collector reused across sweeps resets in Begin.
+// identically; a collector reused across sweeps resets in Begin — also
+// when the thread count changes, so that the pool threads of one sweep
+// must not find the partials of the last.
 TEST(SweepTest, CollectorsResetBetweenSweeps) {
   FlatAdsSet set = BuildFlat(100, 29, 4);
   DistanceHistogramCollector hist;
@@ -398,6 +481,147 @@ TEST(SweepTest, CollectorsResetBetweenSweeps) {
   RunSweep(set, plan, 2);  // rerun: Begin must clear, not accumulate
   EXPECT_EQ(hist.Distribution(), first_hist);
   EXPECT_EQ(harmonic.values(), first_harmonic);
+
+  FlatAdsSet weighted = BuildRealWeighted(200, 53, 8);
+  HistogramOracle oracle = OracleHistogram(weighted);
+  DistanceHistogramCollector reused;
+  SweepPlan reused_plan;
+  reused_plan.Add(&reused);
+  for (uint32_t threads : {4u, 1u, 4u}) {
+    RunSweep(weighted, reused_plan, threads);
+    ExpectMatchesOracle(reused, oracle,
+                        "reused at " + std::to_string(threads) + " threads");
+  }
+  // A sweep nobody read is dropped whole by the next one's Begin.
+  RunSweep(weighted, reused_plan, 4);
+  RunSweep(weighted, reused_plan, 4);
+  ExpectMatchesOracle(reused, oracle, "reused after an unread sweep");
+}
+
+// Partials belong to a collector and a sweep, never to a thread: two
+// histograms in one plan fold the same entries on the same pool threads
+// and must each see all of them, once; a collector that absorbed partials
+// reads the same however often it is read.
+TEST(SweepTest, HistogramPartialsFollowTheCollectorNotTheThread) {
+  FlatAdsSet set = BuildRealWeighted(300, 59, 8);
+  HistogramOracle oracle = OracleHistogram(set);
+  {
+    SweepPlan plan;
+    auto* a = plan.Emplace<DistanceHistogramCollector>();
+    auto* harmonic = plan.Emplace<HarmonicCentralityCollector>();
+    auto* b = plan.Emplace<DistanceHistogramCollector>();
+    RunSweep(set, plan, 4);
+    ExpectMatchesOracle(*a, oracle, "first histogram of the plan");
+    ExpectMatchesOracle(*b, oracle, "second histogram of the plan");
+    EXPECT_EQ(harmonic->values(), EstimateHarmonicCentralityAll(set, 1));
+  }
+  {
+    DistanceHistogramCollector absorber;
+    absorber.Begin(set.num_nodes());
+    for (auto [begin, end] : {std::pair<NodeId, NodeId>{0, 100}, {100, 300}}) {
+      ASSERT_TRUE(
+          absorber.AbsorbPartial(begin, end, SlicePartial(set, begin, end, 3))
+              .ok());
+    }
+    ExpectMatchesOracle(absorber, oracle, "absorbed, first read");
+    ExpectMatchesOracle(absorber, oracle, "absorbed, second read");
+    EXPECT_EQ(absorber.EffectiveDiameter(), EstimateEffectiveDiameter(set));
+    EXPECT_EQ(absorber.MeanDistance(), EstimateMeanDistance(set));
+  }
+}
+
+// Real-valued weights make nearly every distance distinct, so the fold
+// takes all of its paths — distances seen once, distances repeated within
+// one thread's partial and across partials. Every engine, at every
+// thread count, and the 3-range gather in either absorb order must read
+// and encode exactly what the sequential exact fold does.
+TEST(SweepTest, RealValuedWeightsMatchTheSequentialExactFoldBitwise) {
+  FlatAdsSet set = BuildRealWeighted(600, 61, 8);
+  HistogramOracle oracle = OracleHistogram(set);
+  ASSERT_GT(oracle.distribution.size(), 10000u);
+
+  ScratchDir dir("hipads_sweep_test_real_weights");
+  std::string file_path = dir.file("set.ads2");
+  std::string shard_dir = dir.file("shards");
+  ASSERT_TRUE(WriteAdsSetFile(set, file_path, AdsFileFormat::kBinaryV2).ok());
+  ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 3).ok());
+  FlatAdsBackend flat(&set);
+  auto copied = OpenAdsBackend(file_path);
+  ASSERT_TRUE(copied.ok());
+  AdsBackendOptions mmap_options;
+  mmap_options.mode = BackendMode::kMmap;
+  auto mapped = OpenAdsBackend(file_path, mmap_options);
+  ASSERT_TRUE(mapped.ok());
+  auto sharded = ShardedAdsSet::Open(shard_dir);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ(sharded.value().num_shards(), 3u);
+
+  const std::pair<const char*, const AdsBackend*> engines[] = {
+      {"flat", &flat},
+      {"copy", copied.value().get()},
+      {"mmap", mapped.value().get()},
+      {"3 shards", &sharded.value()}};
+  for (const auto& [name, backend] : engines) {
+    for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+      SweepPlan plan;
+      auto* hist = plan.Emplace<DistanceHistogramCollector>();
+      ASSERT_TRUE(RunSweep(*backend, plan, threads).ok());
+      ExpectMatchesOracle(*hist, oracle,
+                          std::string(name) + " at " +
+                              std::to_string(threads) + " threads");
+    }
+  }
+
+  const NodeId splits[] = {0, 170, 420, 600};
+  std::vector<std::string> partials;
+  for (size_t r = 0; r < 3; ++r) {
+    partials.push_back(SlicePartial(set, splits[r], splits[r + 1], 3));
+  }
+  for (bool reverse : {false, true}) {
+    DistanceHistogramCollector gathered;
+    gathered.Begin(set.num_nodes());
+    for (size_t i = 0; i < 3; ++i) {
+      size_t r = reverse ? 2 - i : i;
+      ASSERT_TRUE(
+          gathered.AbsorbPartial(splits[r], splits[r + 1], partials[r]).ok());
+    }
+    ExpectMatchesOracle(gathered, oracle,
+                        reverse ? "absorbed in reverse" : "absorbed in order");
+  }
+}
+
+// Weights far outside what HIP produces: zeros, subnormals and values
+// from 2^-1000 to 2^1000, on distances folded thousands of times (unit
+// weights) and on distances folded about twice (real weights), so sums
+// outgrow any short digit window and move to a full accumulator, and
+// zeros come first as often as not. Still bitwise the sequential exact
+// fold, at every thread count.
+TEST(SweepTest, ExtremeWeightsStayExact) {
+  const double extremes[] = {0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::ldexp(1.0, -1000),
+                             1.0 / 3.0,
+                             0.0,
+                             7.0,
+                             std::ldexp(1.0, 40) + 1.0,
+                             std::ldexp(1.0, 1000),
+                             std::numeric_limits<double>::max() / 4};
+  for (FlatAdsSet set : {BuildFlat(240, 67, 8), BuildRealWeighted(240, 71, 8)}) {
+    PrecomputeHipWeights(&set, 1);
+    for (size_t i = 0; i < set.hip_weight.size(); ++i) {
+      set.hip_weight[i] = extremes[(i * 7 + i / 5) % std::size(extremes)];
+    }
+    HistogramOracle oracle = OracleHistogram(set);
+    FlatAdsBackend backend(&set);
+    for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+      SweepPlan plan;
+      auto* hist = plan.Emplace<DistanceHistogramCollector>();
+      ASSERT_TRUE(RunSweep(backend, plan, threads).ok());
+      ExpectMatchesOracle(*hist, oracle,
+                          "extreme weights at " + std::to_string(threads) +
+                              " threads");
+    }
+  }
 }
 
 }  // namespace

@@ -138,7 +138,7 @@ void RunHL001(const FileView& f, std::vector<Finding>* out) {
 }
 
 // ---------------------------------------------------------------------
-// HL002 — hash-order iteration in sweep reduce / gather code.
+// HL002 — hash-order iteration in sweep collector / gather code.
 // ---------------------------------------------------------------------
 
 bool InOrderSensitivePath(const std::string& path) {

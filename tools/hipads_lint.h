@@ -8,10 +8,12 @@
 //          statistic must be bitwise reproducible; a clock read or RNG
 //          draw anywhere in those trees breaks that silently.
 //   HL002  no iteration over std::unordered_{map,set} in sweep
-//          Reduce / EncodePartial / gather code (src/ads/sweep*,
-//          src/serve). Hash-order iteration is the classic way a
-//          "deterministic" reduction diverges across libstdc++
-//          versions or ASLR runs. Point lookups (find/erase) are fine.
+//          collector code — the histogram's per-thread partials, their
+//          seal and merge, EncodePartial/AbsorbPartial — or gather code
+//          (src/ads/sweep*, src/serve). Hash-order iteration is the
+//          classic way a "deterministic" reduction diverges across
+//          libstdc++ versions or ASLR runs. Point lookups (find/erase)
+//          are fine.
 //   HL003  a SweepCollector subclass that overrides EncodePartial must
 //          also override AbsorbPartial. The pair is the partial-state
 //          seam the distributed gather rides on; overriding one side
