@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 
 #include <arpa/inet.h>
 #include <errno.h>
@@ -11,6 +12,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -25,6 +27,11 @@ namespace hipads {
 FrameHandler::~FrameHandler() = default;
 
 namespace {
+
+// How far a sweep's threads raise their nice value over the handler's
+// (see HandleSweep): a waking point handler then preempts them, and a
+// sweep thread weighs about a tenth of one at the handler's priority.
+constexpr int kSweepNice = 10;
 
 // Request kinds with dedicated request/latency instruments.
 enum ServeReqKind {
@@ -531,8 +538,20 @@ StatusOr<Frame> AdsServerCore::HandleSweep(const SweepRequestMsg& msg,
                  : Status::Ok();
     };
   }
+  // A sweep keeps every core busy for its whole run, while a point is a
+  // few microseconds of work that waits for a core: the sweep runs on its
+  // own thread at background CPU priority, which its pool workers
+  // inherit, so point handlers preempt it instead of queueing behind it.
   active_sweeps_.Add(1);
-  Status swept = RunSweep(*backend_, plan, threads, checkpoint);
+  Status swept;
+  const TraceId trace = CurrentTraceId();
+  std::thread sweeper([&] {
+    // On Linux the nice value is per thread; values past 19 clamp.
+    setpriority(PRIO_PROCESS, 0, getpriority(PRIO_PROCESS, 0) + kSweepNice);
+    ScopedTraceContext trace_context(trace.hi, trace.lo);
+    swept = RunSweep(*backend_, plan, threads, checkpoint);
+  });
+  sweeper.join();
   active_sweeps_.Add(-1);
   if (!swept.ok()) return swept;
 

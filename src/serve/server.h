@@ -19,8 +19,10 @@
 // core runs LOCK-FREE: any number of point lookups and whole-range sweeps
 // execute concurrently with no serialization at all (results are bitwise
 // deterministic either way, so overlap is invisible), and a point lookup
-// never waits behind a sweep. Small LRU response caches sit in front, so
-// repeated cheap lookups never touch the backend at all.
+// never waits behind a sweep. Sweeps run at background CPU priority, so
+// when they keep every core busy a point handler still gets one at once.
+// Small LRU response caches sit in front, so repeated cheap lookups never
+// touch the backend at all.
 //
 // The node-id split: a range server launched with node_begin B serves
 // global nodes [B, B + backend.num_nodes()). Shard files written by

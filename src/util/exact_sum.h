@@ -142,13 +142,6 @@ class ExactSum {
   static uint32_t AddDigits(uint32_t lo_a, const uint32_t* a, uint32_t na,
                             uint32_t lo_b, const uint32_t* b, uint32_t nb,
                             uint32_t* lo, uint32_t* out) {
-    if (na == 0 || nb == 0) {
-      const uint32_t* src = na == 0 ? b : a;
-      uint32_t n = na == 0 ? nb : na;
-      *lo = na == 0 ? lo_b : lo_a;
-      std::memcpy(out, src, n * sizeof(uint32_t));
-      return n;
-    }
     uint32_t first = lo_a < lo_b ? lo_a : lo_b;
     uint32_t end = lo_a + na > lo_b + nb ? lo_a + na : lo_b + nb;
     if (end < kDigits) ++end;  // room for the carry

@@ -22,6 +22,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -827,6 +828,49 @@ TEST(ServeFaultTest, RoutedPointDoesNotWaitOutASweepInFlight) {
     ASSERT_TRUE(built.value()[i]->EncodePartial(0, 80, &partial).ok());
     EXPECT_EQ(partial, expected_partials[i]) << "collector " << i;
   }
+}
+
+// Remembers the nice value of the last thread to read a range; released
+// from the start, so it never parks a sweep.
+class NiceRecordingBackend : public GatedBackend {
+ public:
+  explicit NiceRecordingBackend(const AdsBackend* inner)
+      : GatedBackend(inner) {
+    Release();
+  }
+  StatusOr<AdsArenaView> Range(uint32_t r) const override {
+    nice_.store(getpriority(PRIO_PROCESS, 0));
+    return GatedBackend::Range(r);
+  }
+  int nice() const { return nice_.load(); }
+
+ private:
+  mutable std::atomic<int> nice_{-100};
+};
+
+// A server runs each sweep at background CPU priority, so its point
+// handlers preempt the sweep; the thread that handled the request keeps
+// its own priority, and the sweep's bytes are unaffected.
+TEST(ServeFaultTest, SweepsRunAtBackgroundPriority) {
+  FlatAdsSet set = BuildFlat(60, 89, 4);
+  FlatAdsBackend flat(&set);
+  NiceRecordingBackend recording(&flat);
+  AdsServerCore core(&recording, ServerOptions{});
+  AdsServerCore reference_core(&flat, ServerOptions{});
+  SweepRequestMsg sweep;
+  sweep.collectors = SmallSpec();
+  const std::string request =
+      EncodeFrame(MessageType::kSweepRequest, EncodeSweepRequest(sweep));
+
+  const int own_nice = getpriority(PRIO_PROCESS, 0);
+  bool close = false;
+  const std::string response = core.HandleFrame(request, &close);
+  EXPECT_EQ(recording.nice(), std::min(own_nice + 10, 19));
+  EXPECT_EQ(getpriority(PRIO_PROCESS, 0), own_nice);
+  auto decoded = DecodeFrame(response);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().type, MessageType::kSweepResponse);
+  EXPECT_EQ(response, reference_core.HandleFrame(request, &close));
 }
 
 // A restarted server leaves every pooled connection to it stale. The
